@@ -32,10 +32,10 @@ race-conc:
 bench:
 	$(GO) test -run '^$$' -bench=. -benchmem -benchtime=1x
 
-# Static analysis: go vet plus the repo's own analyzers (cmd/xeonlint —
+# Static analysis: go vet plus the repo's nine analyzers (cmd/xeonlint —
 # nondeterminism taint, dimension inference, unit safety, dropped errors,
 # context flow, goroutine leaks, lock ordering, counter/golden parity,
-# and the profile-guided hot tier: hotalloc, hotcall, benchparity).
+# and the profile-guided hotalloc).
 # Depends on build so vet and xeonlint share one warm build cache; -v
 # prints per-analyzer wall time so lint-job runtime regressions show up
 # in CI logs.
@@ -48,9 +48,9 @@ lint: build
 lint-conc: build
 	$(GO) run ./cmd/xeonlint -v -only ctxflow,goleak,lockorder ./...
 
-# Just the profile-guided performance tier, for hot-path work.
+# Just the profile-guided analyzer (hotalloc), for hot-path work.
 lint-hot: build
-	$(GO) run ./cmd/xeonlint -v -only hot ./...
+	$(GO) run ./cmd/xeonlint -v -only hotalloc ./...
 
 # Assert the checked-in CPU profile still matches the source: it must
 # decode, resolve onto module functions, and keep the benchmarked engine

@@ -1,9 +1,9 @@
-// Command xeonlint runs the repo's domain-specific static analyzers (see
-// internal/analysis) over the module: nondeterminism taint, dimension
-// inference, unit safety, dropped errors, context flow, goroutine leaks,
-// lock ordering, counter/golden-schema parity, and the profile-guided
-// performance tier (hotalloc, hotcall, benchparity) driven by the
-// checked-in CPU profile.
+// Command xeonlint runs the repo's nine domain-specific static analyzers
+// (see internal/analysis) over the module: nondeterminism taint,
+// dimension inference, unit safety, dropped errors, context flow,
+// goroutine leaks, lock ordering, counter/golden-schema parity, and
+// hot-loop allocations (hotalloc) in the functions the checked-in CPU
+// profile marks hot.
 //
 // Usage:
 //
@@ -14,26 +14,23 @@
 //	xeonlint -fix ./...      # apply the suggested fixes in place
 //	xeonlint -diff ./...     # print pending fixes as a unified diff
 //	xeonlint -only ctxflow,goleak ./...   # run a subset of analyzers
-//	xeonlint -only hot ./...              # hot = hotalloc,hotcall,benchparity
 //	xeonlint -skip taint ./...            # run all but these analyzers
 //	xeonlint -pgo path/to/cpu.pgo ./...   # hot set from another profile
-//	xeonlint -hot-threshold 0.02 ./...    # raise the flat-share cutoff
 //	xeonlint -hot-report     # print the hot set and exit
 //	xeonlint -v ./...        # report per-analyzer wall time on stderr
 //
 // Findings print as "file:line:col: [analyzer] message" and make the exit
-// status 1; a load or usage problem exits 2. Advisory notes (hotcall's
-// hot→cold inlining hints) print but never affect the exit status. Under
-// -fix, findings that carry a machine-applicable fix are rewritten in
-// place and only the unfixable remainder affects the exit status. Under
-// -diff, the exit status is 1 exactly when fixes are pending, so CI can
-// assert the tree is fix-clean. Suppress a finding with
+// status 1; a load or usage problem exits 2. Under -fix, findings that
+// carry a machine-applicable fix are rewritten in place and only the
+// unfixable remainder affects the exit status. Under -diff, the exit
+// status is 1 exactly when fixes are pending, so CI can assert the tree
+// is fix-clean. Suppress a finding with
 // //xeonlint:ignore <analyzer> <reason> on or above the offending line —
 // unused suppressions are themselves findings.
 //
 // The -pgo profile defaults to cmd/xeonchar/default.pgo under the module
-// root. When that default is absent the performance analyzers fall back
-// to //xeonlint:hot directives alone (with a warning); an explicitly set
+// root. When that default is absent hotalloc falls back to
+// //xeonlint:hot directives alone (with a warning); an explicitly set
 // -pgo path that cannot be read is an error.
 package main
 
@@ -58,10 +55,9 @@ func main() {
 		jsonOut  = flag.Bool("json", false, "emit one JSON finding per line")
 		applyFix = flag.Bool("fix", false, "apply suggested fixes in place")
 		diffFix  = flag.Bool("diff", false, "print suggested fixes as a unified diff; exit 1 if any are pending")
-		only     = flag.String("only", "", "comma-separated analyzers to run exclusively ('hot' = hotalloc,hotcall,benchparity)")
-		skip     = flag.String("skip", "", "comma-separated analyzers to skip ('hot' = hotalloc,hotcall,benchparity)")
+		only     = flag.String("only", "", "comma-separated analyzers to run exclusively")
+		skip     = flag.String("skip", "", "comma-separated analyzers to skip")
 		pgoPath  = flag.String("pgo", defaultPGOPath, "pprof CPU profile for the hot set, relative to -root; '' disables profile hotness")
-		hotThr   = flag.Float64("hot-threshold", analysis.DefaultHotThreshold, "flat-share cutoff for profile hotness")
 		hotRep   = flag.Bool("hot-report", false, "print the resolved hot set and unresolved profile names, then exit")
 		verbose  = flag.Bool("v", false, "report per-analyzer wall time on stderr")
 	)
@@ -99,7 +95,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "xeonlint:", err)
 		os.Exit(2)
 	}
-	prog.HotThreshold = *hotThr
 	if *pgoPath != "" {
 		path := *pgoPath
 		if !filepath.IsAbs(path) {
@@ -190,13 +185,7 @@ func main() {
 		diags = rest
 	}
 
-	findings, notes := 0, 0
 	for _, d := range diags {
-		if d.Note {
-			notes++
-		} else {
-			findings++
-		}
 		if *jsonOut {
 			line, err := json.Marshal(struct {
 				File     string `json:"file"`
@@ -205,8 +194,7 @@ func main() {
 				Analyzer string `json:"analyzer"`
 				Message  string `json:"message"`
 				Fixable  bool   `json:"fixable"`
-				Note     bool   `json:"note"`
-			}{relName(d.Pos.Filename), d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message, d.Fix != nil, d.Note})
+			}{relName(d.Pos.Filename), d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message, d.Fix != nil})
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "xeonlint:", err)
 				os.Exit(2)
@@ -216,12 +204,9 @@ func main() {
 		}
 		fmt.Printf("%s:%d:%d: [%s] %s\n", relName(d.Pos.Filename), d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message)
 	}
-	if findings > 0 {
-		fmt.Fprintf(os.Stderr, "xeonlint: %d finding(s), %d note(s)\n", findings, notes)
+	if len(diags) > 0 {
+		fmt.Fprintf(os.Stderr, "xeonlint: %d finding(s)\n", len(diags))
 		os.Exit(1)
-	}
-	if notes > 0 {
-		fmt.Fprintf(os.Stderr, "xeonlint: %d advisory note(s), no findings\n", notes)
 	}
 }
 
@@ -250,10 +235,6 @@ func selectAnalyzers(all []analysis.Analyzer, only, skip string) ([]analysis.Ana
 	for _, a := range all {
 		names[a.Name()] = true
 	}
-	// "hot" is a group alias for the profile-guided tier.
-	groups := map[string][]string{
-		"hot": {"hotalloc", "hotcall", "benchparity"},
-	}
 	parse := func(flagName, v string) (map[string]bool, error) {
 		if v == "" {
 			return nil, nil
@@ -261,12 +242,6 @@ func selectAnalyzers(all []analysis.Analyzer, only, skip string) ([]analysis.Ana
 		set := map[string]bool{}
 		for _, name := range strings.Split(v, ",") {
 			name = strings.TrimSpace(name)
-			if members, ok := groups[name]; ok {
-				for _, m := range members {
-					set[m] = true
-				}
-				continue
-			}
 			if !names[name] {
 				return nil, fmt.Errorf("-%s names unknown analyzer %q (see -list)", flagName, name)
 			}

@@ -8,12 +8,12 @@
 // shared Facts (function index, module-wide call graph, field-use
 // relation — see facts.go) that the interprocedural passes solve their
 // fixed points over, plus shared concurrency summaries (may-block,
-// lock-acquisition, WaitGroup-join facts — see conc.go). Since PR 9 a
-// profile-guided tier joins them: a stdlib-only pprof reader (pgo.go)
-// extracts a deterministic hot set from the checked-in CPU profile, maps
-// it onto the call graph, and three performance analyzers lint only the
-// code the profile says matters. Eleven analyzers guard the promises the
-// reproduction makes:
+// lock-acquisition, WaitGroup-join facts — see conc.go). A profile-guided
+// analyzer joins them: a stdlib-only pprof reader (pgo.go) extracts a
+// deterministic hot set from the checked-in CPU profile, maps it onto the
+// call graph, and hotalloc lints only the code the profile says matters.
+// Nine analyzers guard the promises the reproduction makes, each proven
+// against a seeded bug of its class by TestMutationCorpus:
 //
 //   - taint: no wall clock, no unseeded math/rand, no map-iteration
 //     order leaking into ordered output — plus interprocedural
@@ -47,13 +47,6 @@
 //     string concat, fmt.Sprint*, capturing closures, interface boxing,
 //     defer-in-loop, capacity-less append (with -fix rewrites for the
 //     cases where the rewrite provably preserves behavior)
-//   - hotcall: no avoidable per-iteration call overhead in hot loops —
-//     devirtualizable single-implementation interface calls, hoistable
-//     loop-invariant map lookups, channel ops; hot→cold calls into
-//     functions too large to inline are advisory notes
-//   - benchparity: every profile-hot function is reachable from a
-//     Benchmark* in the module, so the BENCH_*.json perf gate has no
-//     blind spot where the profile says the time goes
 //
 // Findings can be suppressed per line with
 //
@@ -89,9 +82,6 @@ type Diagnostic struct {
 	// Fix, when non-nil, is a textual edit that resolves the finding;
 	// cmd/xeonlint applies it under -fix and previews it under -diff.
 	Fix *SuggestedFix
-	// Note marks advisory diagnostics (hotcall's hot→cold inlining
-	// notes): printed, but excluded from the failing exit status.
-	Note bool
 }
 
 func (d Diagnostic) String() string {
@@ -124,13 +114,9 @@ type Program struct {
 	ModulePath string
 
 	// PGO, when set before Run, attaches a decoded pprof profile (see
-	// pgo.go); the hotalloc/hotcall/benchparity analyzers derive their
-	// hot set from it. With no profile, only //xeonlint:hot directives
-	// seed the hot set.
+	// pgo.go); the hotalloc analyzer derives its hot set from it. With no
+	// profile, only //xeonlint:hot directives seed the hot set.
 	PGO *PGOProfile
-	// HotThreshold is the flat-share cutoff for profile-hot functions;
-	// zero means DefaultHotThreshold.
-	HotThreshold float64
 	// Workers bounds the per-package fan-out inside Run/RunTimed; zero
 	// means GOMAXPROCS. One worker reproduces the old serial driver.
 	Workers int
@@ -174,8 +160,6 @@ func Analyzers() []Analyzer {
 		&LockOrder{},
 		&CounterParity{},
 		&HotAlloc{},
-		&HotCall{},
-		&BenchParity{},
 	}
 }
 

@@ -60,11 +60,6 @@ type Facts struct {
 	// against.
 	FieldUses map[*types.Var]map[*Package]bool
 
-	// NamedTypes lists every package-level named type of the module, in
-	// package/source order — the set hotcall searches for concrete
-	// implementations when it argues an interface call can devirtualize.
-	NamedTypes []*types.Named
-
 	bodies map[*Package][]Body
 
 	// mu serializes the lazy module-wide solves below: with per-package
@@ -77,8 +72,7 @@ type Facts struct {
 	taint *taintFacts // solved lazily by the taint analyzer
 	dims  *dimFacts   // solved lazily by the dimension analyzer
 	conc  *concFacts  // solved lazily by the concurrency analyzers
-	hotf  *hotFacts   // solved lazily by the PGO-driven analyzers
-	bench *benchFacts // solved lazily by the benchparity analyzer
+	hotf  *hotFacts   // solved lazily by hotalloc and -hot-report
 }
 
 // Facts returns the program's shared analysis facts, building them on
@@ -201,20 +195,6 @@ func buildFacts(p *Program) *Facts {
 		visit(fi)
 	}
 	f.Funcs = order
-
-	// Package-level named types, for implements-style queries.
-	for _, pkg := range p.Packages {
-		scope := pkg.Types.Scope()
-		for _, name := range scope.Names() {
-			tn, ok := scope.Lookup(name).(*types.TypeName)
-			if !ok || tn.IsAlias() {
-				continue
-			}
-			if named, ok := tn.Type().(*types.Named); ok {
-				f.NamedTypes = append(f.NamedTypes, named)
-			}
-		}
-	}
 
 	// Field-use relation: which packages select which struct fields.
 	for _, pkg := range p.Packages {

@@ -91,10 +91,12 @@ func modulePath(gomod string) (string, error) {
 }
 
 // packageDirs lists every directory under Root holding Go files the
-// loader would actually include, skipping hidden directories and testdata
-// trees. Discovery and loading share includeFile, so a directory is
-// listed if and only if loadLocal would find files in it — the two stages
-// cannot disagree about build tags or _test.go files.
+// loader would actually include, skipping hidden directories, testdata
+// trees, and nested modules (any directory below Root with its own
+// go.mod), as `go list ./...` does. Discovery and loading share
+// includeFile, so a directory is listed if and only if loadLocal would
+// find files in it — the two stages cannot disagree about build tags or
+// _test.go files.
 func (l *Loader) packageDirs() ([]string, error) {
 	var dirs []string
 	err := filepath.WalkDir(l.Root, func(path string, d os.DirEntry, err error) error {
@@ -104,9 +106,14 @@ func (l *Loader) packageDirs() ([]string, error) {
 		if !d.IsDir() {
 			return nil
 		}
-		base := filepath.Base(path)
-		if path != l.Root && (strings.HasPrefix(base, ".") || strings.HasPrefix(base, "_") || base == "testdata") {
-			return filepath.SkipDir
+		if path != l.Root {
+			base := filepath.Base(path)
+			if strings.HasPrefix(base, ".") || strings.HasPrefix(base, "_") || base == "testdata" {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+				return filepath.SkipDir
+			}
 		}
 		ents, err := os.ReadDir(path)
 		if err != nil {

@@ -4,7 +4,7 @@
 // with a derivable bound (the fix adds the capacity).
 package fixable
 
-// hotLoop is hot by directive; BenchmarkHotLoop keeps benchparity quiet.
+// hotLoop is hot by directive.
 //
 //xeonlint:hot
 func hotLoop(n int) []int {

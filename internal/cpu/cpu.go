@@ -927,6 +927,8 @@ func (c *Core) Step(now int64) bool {
 // changes inside Step — only this core steps during a solo window — whole
 // segments between changes are charged with a single counter add instead
 // of one per advancement.
+//
+//xeonlint:hot the solo-window loop; its time is mostly charged to Step, so its own flat share sits under the profile cutoff
 func (c *Core) StepWindow(x *Context, from, bound, limit int64, watchRelease bool) (now int64, issued, released bool) {
 	now = from
 	seg := now
