@@ -35,7 +35,7 @@ bench:
 # Static analysis: go vet plus the repo's nine analyzers (cmd/xeonlint —
 # nondeterminism taint, dimension inference, unit safety, dropped errors,
 # context flow, goroutine leaks, lock ordering, counter/golden parity,
-# and the profile-guided hotalloc).
+# and hotalloc over the //xeonlint:hot set).
 # Depends on build so vet and xeonlint share one warm build cache; -v
 # prints per-analyzer wall time so lint-job runtime regressions show up
 # in CI logs.
@@ -48,14 +48,14 @@ lint: build
 lint-conc: build
 	$(GO) run ./cmd/xeonlint -v -only ctxflow,goleak,lockorder ./...
 
-# Just the profile-guided analyzer (hotalloc), for hot-path work.
+# Just hotalloc, for hot-path work.
 lint-hot: build
 	$(GO) run ./cmd/xeonlint -v -only hotalloc ./...
 
-# Assert the checked-in CPU profile still matches the source: it must
-# decode, resolve onto module functions, and keep the benchmarked engine
-# packages in its hot set. Regenerate with `make profile` after renaming
-# hot functions.
+# Assert the checked-in CPU profile still matches the source: every
+# module function at >=1% flat in cmd/xeonchar/default.pgo (read with
+# `go tool pprof`) must be in `xeonlint -hot-report`. Mark new hot spots
+# //xeonlint:hot; regenerate with `make profile` after renaming one.
 pgo-fresh: build
 	./scripts/pgo-freshness.sh
 
@@ -86,10 +86,14 @@ GOLDEN_SCALE := 0.1
 # directory with the same keying (see .github/workflows/ci.yml).
 SRC_HASH := $(shell git ls-files -co --exclude-standard -- '*.go' go.mod | xargs sha256sum 2>/dev/null | sha256sum | cut -c1-16)
 
-# Mirrors .github/workflows/ci.yml step for step, so contributors can
-# reproduce a CI failure locally with a bare `make ci`.
+# Runs the steps of .github/workflows/ci.yml's lint job and test matrix,
+# so contributors can reproduce a CI failure locally with a bare
+# `make ci`. Three CI steps keep their own targets: race-conc (the full
+# race pass over server and core), server-smoke and shard-smoke.
 ci:
 	$(MAKE) lint
+	$(MAKE) pgo-fresh
+	$(MAKE) lint-fix-clean
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 	$(GO) test -race -short ./...

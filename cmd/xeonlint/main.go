@@ -2,8 +2,8 @@
 // (see internal/analysis) over the module: nondeterminism taint,
 // dimension inference, unit safety, dropped errors, context flow,
 // goroutine leaks, lock ordering, counter/golden-schema parity, and
-// hot-loop allocations (hotalloc) in the functions the checked-in CPU
-// profile marks hot.
+// hot-loop allocations (hotalloc) in the functions marked
+// //xeonlint:hot and the functions their loops call.
 //
 // Usage:
 //
@@ -15,7 +15,6 @@
 //	xeonlint -diff ./...     # print pending fixes as a unified diff
 //	xeonlint -only ctxflow,goleak ./...   # run a subset of analyzers
 //	xeonlint -skip taint ./...            # run all but these analyzers
-//	xeonlint -pgo path/to/cpu.pgo ./...   # hot set from another profile
 //	xeonlint -hot-report     # print the hot set and exit
 //	xeonlint -v ./...        # report per-analyzer wall time on stderr
 //
@@ -28,10 +27,9 @@
 // //xeonlint:ignore <analyzer> <reason> on or above the offending line —
 // unused suppressions are themselves findings.
 //
-// The -pgo profile defaults to cmd/xeonchar/default.pgo under the module
-// root. When that default is absent hotalloc falls back to
-// //xeonlint:hot directives alone (with a warning); an explicitly set
-// -pgo path that cannot be read is an error.
+// -hot-report prints one hot function per line, its pprof-style name
+// and why it is hot; scripts/pgo-freshness.sh checks the checked-in CPU
+// profile's hot functions against it.
 package main
 
 import (
@@ -57,8 +55,7 @@ func main() {
 		diffFix  = flag.Bool("diff", false, "print suggested fixes as a unified diff; exit 1 if any are pending")
 		only     = flag.String("only", "", "comma-separated analyzers to run exclusively")
 		skip     = flag.String("skip", "", "comma-separated analyzers to skip")
-		pgoPath  = flag.String("pgo", defaultPGOPath, "pprof CPU profile for the hot set, relative to -root; '' disables profile hotness")
-		hotRep   = flag.Bool("hot-report", false, "print the resolved hot set and unresolved profile names, then exit")
+		hotRep   = flag.Bool("hot-report", false, "print the hot set, then exit")
 		verbose  = flag.Bool("v", false, "report per-analyzer wall time on stderr")
 	)
 	flag.Parse()
@@ -95,32 +92,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "xeonlint:", err)
 		os.Exit(2)
 	}
-	if *pgoPath != "" {
-		path := *pgoPath
-		if !filepath.IsAbs(path) {
-			path = filepath.Join(*root, path)
-		}
-		prof, err := analysis.ReadPGO(path)
-		switch {
-		case err == nil:
-			prog.PGO = prof
-		case flagWasSet("pgo"):
-			// An explicitly chosen profile that does not decode is an
-			// error; silently linting against nothing would lie.
-			fmt.Fprintln(os.Stderr, "xeonlint:", err)
-			os.Exit(2)
-		default:
-			fmt.Fprintf(os.Stderr, "xeonlint: default profile unavailable (%v); hot set from //xeonlint:hot directives only\n", err)
-		}
-	}
-
 	if *hotRep {
 		hot := prog.HotFunctions()
 		for _, h := range hot {
-			fmt.Printf("%6.2f%% flat %6.2f%% cum  %-60s %s\n", h.Flat*100, h.Cum*100, h.Name, h.Reason)
-		}
-		for _, name := range prog.UnresolvedHotNames() {
-			fmt.Printf("unresolved: %s (profile name not in source; profile may be stale)\n", name)
+			fmt.Printf("%-60s %s\n", h.Name, h.Reason)
 		}
 		fmt.Fprintf(os.Stderr, "xeonlint: %d hot function(s)\n", len(hot))
 		return
@@ -208,23 +183,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "xeonlint: %d finding(s)\n", len(diags))
 		os.Exit(1)
 	}
-}
-
-// defaultPGOPath is where the checked-in CPU profile lives, relative to
-// the module root — the same profile the go toolchain would pick up for
-// PGO builds of cmd/xeonchar.
-const defaultPGOPath = "cmd/xeonchar/default.pgo"
-
-// flagWasSet reports whether the named flag was given on the command
-// line, distinguishing an explicit -pgo from the built-in default.
-func flagWasSet(name string) bool {
-	set := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == name {
-			set = true
-		}
-	})
-	return set
 }
 
 // selectAnalyzers narrows the registry by the -only/-skip flag values,

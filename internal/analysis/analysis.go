@@ -8,10 +8,10 @@
 // shared Facts (function index, module-wide call graph, field-use
 // relation — see facts.go) that the interprocedural passes solve their
 // fixed points over, plus shared concurrency summaries (may-block,
-// lock-acquisition, WaitGroup-join facts — see conc.go). A profile-guided
-// analyzer joins them: a stdlib-only pprof reader (pgo.go) extracts a
-// deterministic hot set from the checked-in CPU profile, maps it onto the
-// call graph, and hotalloc lints only the code the profile says matters.
+// lock-acquisition, WaitGroup-join facts — see conc.go). A hot-set layer
+// joins them (hotset.go): //xeonlint:hot directives on the engine's
+// profile-hot functions, propagated through calls made inside hot loops,
+// so hotalloc lints only the code where the time goes.
 // Nine analyzers guard the promises the reproduction makes, each proven
 // against a seeded bug of its class by TestMutationCorpus:
 //
@@ -43,7 +43,7 @@
 //   - counterparity: every counters.Metrics column and counters.Event name
 //     has a renderer/exporter twin, so golden JSON schemas cannot silently
 //     lose a column
-//   - hotalloc: no per-iteration heap allocations in profile-hot loops —
+//   - hotalloc: no per-iteration heap allocations in hot loops —
 //     string concat, fmt.Sprint*, capturing closures, interface boxing,
 //     defer-in-loop, capacity-less append (with -fix rewrites for the
 //     cases where the rewrite provably preserves behavior)
@@ -108,15 +108,6 @@ type Package struct {
 type Program struct {
 	Fset     *token.FileSet
 	Packages []*Package
-	// ModulePath is the module path from go.mod, set by the loader; the
-	// PGO layer uses it to decide which profile frames belong to the
-	// module (see moduleProfileName).
-	ModulePath string
-
-	// PGO, when set before Run, attaches a decoded pprof profile (see
-	// pgo.go); the hotalloc analyzer derives its hot set from it. With no
-	// profile, only //xeonlint:hot directives seed the hot set.
-	PGO *PGOProfile
 	// Workers bounds the per-package fan-out inside Run/RunTimed; zero
 	// means GOMAXPROCS. One worker reproduces the old serial driver.
 	Workers int

@@ -13,8 +13,8 @@ import (
 // engine partly by driving hot-path allocations to zero (machine pooling,
 // SoA state, `TestPoolGetPutNoAllocs`); an accidental closure, boxed
 // interface argument, or capacity-less append in that code costs real
-// throughput without failing any test. The hot set comes from the
-// checked-in PGO profile plus //xeonlint:hot directives (see pgo.go).
+// throughput without failing any test. The hot set comes from
+// //xeonlint:hot directives and hot-loop propagation (see hotset.go).
 //
 // Inside hot loops (including the whole body of a function called from a
 // hot loop):

@@ -58,7 +58,7 @@ func (l *Loader) Load() (*Program, error) {
 	l.std = importer.ForCompiler(l.fset, "source", nil).(types.ImporterFrom)
 	l.pkgs = map[string]*Package{}
 	l.loading = map[string]bool{}
-	l.prog = &Program{Fset: l.fset, ModulePath: l.ModulePath}
+	l.prog = &Program{Fset: l.fset}
 
 	dirs, err := l.packageDirs()
 	if err != nil {

@@ -130,9 +130,6 @@ func TestMutationCorpus(t *testing.T) {
 	if err != nil {
 		t.Fatalf("loading the mutated module: %v", err)
 	}
-	if prog.PGO, err = analysis.ReadPGO(filepath.Join(root, "cmd", "xeonchar", "default.pgo")); err != nil {
-		t.Fatal(err)
-	}
 
 	caught := map[string]map[string]bool{} // mutant -> analyzers reporting on it
 	for _, d := range prog.Run(analysis.Analyzers()) {
@@ -203,7 +200,7 @@ func (m mutant) inject(t *testing.T, root string) (lo, hi int) {
 
 // copyModuleSources copies what the loader reads of the module at src —
 // go.mod and the non-test .go files outside hidden, underscore and
-// testdata directories — plus the checked-in CPU profile into a temp dir.
+// testdata directories — into a temp dir.
 func copyModuleSources(t *testing.T, src string) string {
 	t.Helper()
 	dst := t.TempDir()
@@ -222,8 +219,7 @@ func copyModuleSources(t *testing.T, src string) string {
 			}
 			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
 		}
-		keep := rel == "go.mod" || filepath.ToSlash(rel) == "cmd/xeonchar/default.pgo" ||
-			(strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go"))
+		keep := rel == "go.mod" || (strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go"))
 		if !keep {
 			return nil
 		}

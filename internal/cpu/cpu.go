@@ -119,7 +119,7 @@ const (
 type Thread struct {
 	Name     string
 	Program  int // program index within the workload (for multi-program runs)
-	Gen      trace.Stream
+	Gen      *trace.Generator
 	Team     *Team
 	Counters counters.Set
 	State    ThreadState
@@ -133,7 +133,7 @@ type Thread struct {
 
 	FinishedAt int64
 
-	// mlp and depT cache the two Stream.Params() timing knobs the issue
+	// mlp and depT cache the two Generator.Params() timing knobs the issue
 	// loop reads per instruction. Params returns the full parameter struct
 	// by value; copying ~200 bytes twice per instruction was ~10% of a cold
 	// study before these were hoisted here (see PERFORMANCE.md). depT is
@@ -151,7 +151,7 @@ type Thread struct {
 }
 
 // NewThread wraps a generator as a schedulable thread of the given team.
-func NewThread(name string, program int, gen trace.Stream, team *Team) *Thread {
+func NewThread(name string, program int, gen *trace.Generator, team *Team) *Thread {
 	p := gen.Params()
 	return &Thread{
 		Name:     name,
@@ -195,6 +195,8 @@ func (t *Thread) rand() float64 {
 // randBits returns the raw 53-bit draw behind rand(); comparing it against
 // a randThreshold value is exactly equivalent to comparing rand() against
 // the probability, without the integer→float conversion.
+//
+//xeonlint:hot >=1% flat in cmd/xeonchar/default.pgo
 func (t *Thread) randBits() uint64 {
 	t.rngState += 0x9e3779b97f4a7c15
 	z := t.rngState
@@ -240,10 +242,11 @@ type Context struct {
 	fetchPrimed  bool
 	barrierBlock bool // mounted thread is barrier-blocked and nothing else is runnable
 
-	// scratch is the per-context instruction buffer Step decodes into. It
-	// lives on the Context (not the Step stack) because passing a stack
-	// variable through the Stream interface makes it escape — one heap
-	// allocation per Step call, ~19% of a cold study's allocation volume.
+	// scratch is the per-context instruction buffer Step decodes into.
+	// `go build -gcflags=-m` reports that Thread.next's argument does not
+	// escape (Gen is a concrete *trace.Generator), so a Step-local Instr
+	// would stay on the stack as well; the buffer stays here because
+	// moving it is a performance change, to be measured on its own.
 	scratch trace.Instr
 }
 
@@ -451,6 +454,8 @@ func (x *Context) NextEvent(now int64) int64 {
 // This classification is deliberately conservative: any case that is not
 // provably a no-op window returns 0, forcing cycle-by-cycle stepping, so
 // the optimized engine stays byte-identical with the reference loop.
+//
+//xeonlint:hot >=1% flat in cmd/xeonchar/default.pgo
 func (x *Context) QuietWake(now int64) int64 {
 	if !x.Enabled {
 		return -1
@@ -487,6 +492,8 @@ func (x *Context) stall(t *Thread, now, n int64) {
 
 // memorySubsystem resolves a data access for thread t at cycle now and
 // returns the exposed stall in cycles. write selects store semantics.
+//
+//xeonlint:hot >=1% flat in cmd/xeonchar/default.pgo
 func (c *Core) memorySubsystem(x *Context, t *Thread, now int64, addr uint64, write bool) int64 {
 	var stall int64
 
@@ -760,6 +767,8 @@ func arriveBarrier(t *Thread, now, releaseCost int64) bool {
 // was issued. Hyper-Threading is modeled as strict round-robin selection of
 // one ready context per cycle; the selected context issues up to
 // IssuePerCycle micro-ops.
+//
+//xeonlint:hot >=1% flat in cmd/xeonchar/default.pgo
 func (c *Core) Step(now int64) bool {
 	n := len(c.Contexts)
 	var x *Context
@@ -1014,6 +1023,8 @@ func (c *Core) StepWindow(x *Context, from, bound, limit int64, watchRelease boo
 // semantics, closing conditions, and equivalence argument are identical to
 // StepWindow's; arbitration between the contexts stays inside Step, so the
 // issue interleaving is untouched.
+//
+//xeonlint:hot >=1% flat in cmd/xeonchar/default.pgo
 func (c *Core) StepWindow2(x0, x1 *Context, from, bound, limit int64, watchRelease bool) (now int64, issued, released bool) {
 	now = from
 	seg := now
@@ -1121,6 +1132,8 @@ func (c *Core) StepWindow2(x0, x1 *Context, from, bound, limit int64, watchRelea
 
 // readyFull is ready() plus barrier-release recovery: a context whose
 // mounted thread was released from a barrier becomes schedulable again.
+//
+//xeonlint:hot >=1% flat in cmd/xeonchar/default.pgo
 func (x *Context) readyFull(now int64) bool {
 	t := x.cur
 	if t == nil {
@@ -1168,6 +1181,8 @@ func (x *Context) anyRunnable() bool {
 
 // stallNoCount blocks issue without charging stall-cycle counters (used for
 // barrier release and dependency bubbles, which are not PMU stalls).
+//
+//xeonlint:hot >=1% flat in cmd/xeonchar/default.pgo
 func (x *Context) stallNoCount(now, n int64) {
 	if now+n > x.readyAt {
 		x.readyAt = now + n

@@ -364,6 +364,7 @@ func (m *Machine) RunReference(limit int64) (int64, error) {
 	return m.run(limit, true)
 }
 
+//xeonlint:hot >=1% flat in cmd/xeonchar/default.pgo
 func (m *Machine) run(limit int64, reference bool) (int64, error) {
 	obsRuns.Inc()
 	t := obs.StartTimer()
@@ -489,6 +490,8 @@ func classify(active []*cpu.Context, next int64) (ready int, wake int64, soloCor
 // Solo windows dominate real studies: serial baselines and single-core HT
 // cells spend their whole run here, and multi-core cells enter whenever
 // memory stalls leave one core runnable.
+//
+//xeonlint:hot >=1% flat in cmd/xeonchar/default.pgo
 func (m *Machine) runSolo(cx *cpu.Core, active []*cpu.Context, cores []*cpu.Core, from, limit int64) (now int64) {
 	xs := m.soloXs[:0]
 	otherAcc := m.soloAcc[:0]

@@ -385,62 +385,6 @@ func TestSamplerValidation(t *testing.T) {
 	}
 }
 
-func TestRecordedTraceReplaysIdentically(t *testing.T) {
-	// Record a thread's stream, then run the live generator and the replay
-	// through identical machines: wall clocks and counters must match
-	// exactly — the trace capture/replay guarantee.
-	l, err := mem.NewLayout(1, 1, 8192, 1<<20, 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, err := trace.NewGenerator(simpleParams(), l, 0, 20000, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := trace.WriteTrace(&buf, rec); err != nil {
-		t.Fatal(err)
-	}
-
-	run := func(stream trace.Stream) (int64, counters.Set) {
-		m := newMachine(t)
-		m.DisableAll()
-		th := cpu.NewThread("replay", 0, stream, cpu.NewTeam(1))
-		x, err := m.Context(0, 0, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		x.Enabled = true
-		x.Assign(th)
-		x.Prewarm()
-		wall, err := m.Run(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return wall, th.Counters
-	}
-
-	live, err := trace.NewGenerator(simpleParams(), l, 0, 20000, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs, err := trace.NewFileStream(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The replayed header intentionally omits generator-only knobs; for a
-	// strict equivalence check the streams must agree on MLP and DepProb,
-	// which the header carries.
-	w1, c1 := run(live)
-	w2, c2 := run(fs)
-	if w1 != w2 {
-		t.Fatalf("wall clocks differ: live %d, replay %d", w1, w2)
-	}
-	if c1 != c2 {
-		t.Fatalf("counters differ between live and replayed runs")
-	}
-}
-
 func TestCoherenceInvalidation(t *testing.T) {
 	// A line read by core 0 and then written by core 1 must disappear from
 	// core 0's caches, and the writer must count an invalidation.

@@ -85,6 +85,8 @@ func (t *TLB) setBase(vpn uint64) uint64 {
 // Access translates addr: it returns true on a TLB hit. On a miss the
 // translation is installed (the page walk itself is charged by the pipeline
 // model), evicting the LRU entry of the set.
+//
+//xeonlint:hot >=1% flat in cmd/xeonchar/default.pgo
 func (t *TLB) Access(addr uint64) bool {
 	vpn := t.Page(addr)
 	base := t.setBase(vpn)
