@@ -166,10 +166,10 @@ profile:
 		-cpuprofile cpu.pprof -trace-out trace.json -metrics-out metrics.json
 
 lmbench:
-	$(GO) run ./cmd/lmbench
+	$(GO) run ./cmd/xeonchar -lmbench
 
 ablations:
-	$(GO) run ./cmd/sweep -ablation all
+	$(GO) run ./cmd/xeonchar -ablation all -scale 0.5
 
 fmt:
 	gofmt -w .

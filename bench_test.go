@@ -1,9 +1,9 @@
 package xeonomp
 
 // The benchmark harness: one testing.B benchmark per table and figure of
-// the paper (see DESIGN.md section 4 for the experiment index), plus the
-// ablation benches for the design choices the machine model calls out and
-// functional-kernel benches for the NPB implementations.
+// the paper (see DESIGN.md section 4 for the experiment index), plus one
+// sub-benchmark per design-choice ablation and functional-kernel benches
+// for the NPB implementations.
 //
 // Each figure/table bench regenerates the experiment's data at a reduced
 // instruction-budget scale per iteration and logs the rendered output once
@@ -23,8 +23,6 @@ import (
 	"xeonomp/internal/npb"
 	"xeonomp/internal/profiles"
 	"xeonomp/internal/runcache"
-	"xeonomp/internal/sched"
-	"xeonomp/internal/units"
 )
 
 // benchScale returns the per-iteration work scale, overridable through
@@ -240,78 +238,24 @@ func BenchmarkFigure5CrossProduct(b *testing.B) {
 	}
 }
 
-// ablationBench runs CG and MG on CMT and CMP-based SMP under a machine
-// variant, logging the speedup deltas against the stock machine.
-func ablationBench(b *testing.B, name string, mutate func(*machine.Config), policy *sched.Policy) {
+// BenchmarkAblations runs every DESIGN.md ablation (core.Ablations) at a
+// reduced scale, logging each stock-versus-variant speedup table once.
+// xeonchar -ablation runs the same ablations at full scale.
+func BenchmarkAblations(b *testing.B) {
 	opt := benchOptions(0.08)
-	varCfg := machine.PaxvilleSMP()
-	mutate(&varCfg)
-	variant := opt
-	variant.Machine = &varCfg
-	if policy != nil {
-		variant.Policy = *policy
-	}
-	for i := 0; i < b.N; i++ {
-		for _, bn := range []string{"CG", "MG"} {
-			prof, err := profiles.ByName(bn)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for _, arch := range []config.Arch{config.CMT, config.CMPSMP} {
-				cfg, err := config.ByArch(arch)
-				if err != nil {
-					b.Fatal(err)
-				}
-				baseSerial, err := core.SerialBaseline(prof, opt)
-				if err != nil {
-					b.Fatal(err)
-				}
-				baseRun, err := core.RunSingle(prof, cfg, opt)
-				if err != nil {
-					b.Fatal(err)
-				}
-				varSerial, err := core.SerialBaseline(prof, variant)
-				if err != nil {
-					b.Fatal(err)
-				}
-				varRun, err := core.RunSingle(prof, cfg, variant)
+	for _, a := range core.Ablations() {
+		b.Run(a.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				t, err := a.Run(context.Background(), opt)
 				if err != nil {
 					b.Fatal(err)
 				}
 				if i == 0 {
-					b.Logf("%s on %s: base %.2fx, %s %.2fx", bn, cfg.Name,
-						core.Speedup(baseSerial.WallCycles, baseRun.WallCycles), name,
-						core.Speedup(varSerial.WallCycles, varRun.WallCycles))
+					b.Logf("\n%s", t.String())
 				}
 			}
-		}
+		})
 	}
-}
-
-// BenchmarkAblationPrefetcherOff quantifies the stream prefetcher's
-// contribution.
-func BenchmarkAblationPrefetcherOff(b *testing.B) {
-	ablationBench(b, "no-prefetch", func(c *machine.Config) { c.PrefetchGate = -1 }, nil)
-}
-
-// BenchmarkAblationBusHalved quantifies FSB bandwidth sensitivity.
-func BenchmarkAblationBusHalved(b *testing.B) {
-	ablationBench(b, "half-bus", func(c *machine.Config) { c.FSBBandwidth /= 2 }, nil)
-}
-
-// BenchmarkAblationL2Doubled quantifies L2 capacity sensitivity (the
-// HT-thrash mechanism).
-func BenchmarkAblationL2Doubled(b *testing.B) {
-	ablationBench(b, "2MiB-L2", func(c *machine.Config) { c.L2.Size = 2 * units.MiB }, nil)
-}
-
-// BenchmarkAblationNoSMTPartitioning removes the HT buffer-partitioning and
-// port-contention penalties.
-func BenchmarkAblationNoSMTPartitioning(b *testing.B) {
-	ablationBench(b, "ideal-SMT", func(c *machine.Config) {
-		c.Lat.SMTSharedMLP = 1.0
-		c.Lat.SMTClash = 0
-	}, nil)
 }
 
 // BenchmarkCell measures raw per-cell simulation speed for the cell kinds

@@ -22,9 +22,9 @@ const goldenDir = "testdata/golden"
 const maxDriftLines = 25
 
 // collectArtifacts runs every study the golden set covers — the Section-3
-// LMbench calibration plus the single-program, fixed-pair and
-// cross-product studies — and returns their artifacts. Caching and
-// progress flow through opt exactly as for figure regeneration.
+// LMbench calibration plus every registered study (core.StudyNames) — and
+// returns their artifacts. Caching and progress flow through opt exactly
+// as for figure regeneration.
 func collectArtifacts(ctx context.Context, opt core.Options) ([]*golden.Artifact, error) {
 	m, err := machine.New(machine.PaxvilleSMP())
 	if err != nil {
@@ -42,20 +42,15 @@ func collectArtifacts(ctx context.Context, opt core.Options) ([]*golden.Artifact
 		r.Artifact(lmbench.PaperGoldenName, golden.Relative(0.05)),
 	}
 
-	studies := []struct {
-		banner string
-		study  core.Study
-	}{
-		{fmt.Sprintf("running single-program study (6 benchmarks x 8 configurations, scale %.2f)...", opt.Scale), core.NewSingleStudy()},
-		{"running multi-program study (3 workloads x 8 configurations)...", core.NewPairStudy()},
-		{"running cross-product study (21 pairs x 7 configurations)...", core.NewCrossStudy()},
-	}
-	for _, st := range studies {
-		fmt.Fprintln(os.Stderr, st.banner)
-		if err := st.study.Run(ctx, opt); err != nil {
+	for _, name := range core.StudyNames() {
+		st, err := core.NewStudy(name)
+		if err != nil {
 			return nil, err
 		}
-		as, err := st.study.Artifacts()
+		if err := runStudy(ctx, name, st, opt); err != nil {
+			return nil, err
+		}
+		as, err := st.Artifacts()
 		if err != nil {
 			return nil, err
 		}

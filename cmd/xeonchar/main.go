@@ -6,9 +6,10 @@
 //	xeonchar -all                 # everything (Table 1/2, Figures 2-5, Section 3)
 //	xeonchar -fig 3               # one figure (2, 3, 4 or 5)
 //	xeonchar -table 2             # one table (1 or 2)
-//	xeonchar -lmbench             # the Section 3 LMbench calibration
+//	xeonchar -lmbench             # the Section 3 LMbench calibration and lat_mem_rd staircase
 //	xeonchar -scale 0.25 -fig 2   # quicker, smaller instruction budgets
 //	xeonchar -csv -fig 3          # CSV instead of aligned text
+//	xeonchar -ablation bus        # one DESIGN.md ablation (or "all"; see core.Ablations)
 //
 // Long regenerations are cacheable, resumable, and observable:
 //
@@ -34,11 +35,13 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 	"syscall"
 	"time"
 
@@ -90,6 +93,7 @@ func run() (err error) {
 		warmup     = flag.Float64("warmup", 0.35, "fraction of the run excluded from counters")
 		phases     = flag.String("phases", "", "print a VTune-style phase time series for the named benchmark (e.g. CG)")
 		archStr    = flag.String("arch", string(config.CMT), "architecture for -phases (Table-1 name, e.g. \"CMT\")")
+		ablation   = flag.String("ablation", "", "design-choice ablation to run: "+strings.Join(ablationNames(), ", ")+" or all")
 
 		cacheDir  = flag.String("cache-dir", "", "persist the run cache to this directory (warm reruns become lookups)")
 		cacheSize = flag.Int("cache-size", 0, "in-memory run-cache entries (0 = default 4096, negative disables caching)")
@@ -104,7 +108,7 @@ func run() (err error) {
 	flag.Parse()
 
 	if *phases == "" && *exportJSON == "" && *checkDir == "" && !*updateGold &&
-		!*all && *fig == 0 && *table == 0 && !*lmb {
+		!*all && *fig == 0 && *table == 0 && !*lmb && *ablation == "" {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -112,18 +116,19 @@ func run() (err error) {
 		fmt.Fprintln(os.Stderr, "xeonchar: -resume requires -journal")
 		os.Exit(2)
 	}
-	var pol sched.Policy
-	switch *policy {
-	case "alternate":
-		pol = sched.Alternate
-	case "block":
-		pol = sched.Block
-	case "round-robin":
-		pol = sched.RoundRobin
-	case "symbiotic":
-		pol = sched.Symbiotic
-	default:
-		fmt.Fprintf(os.Stderr, "unknown policy %q\n", *policy)
+	pol, err := sched.ParsePolicy(*policy)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "xeonchar:", err)
+		os.Exit(2)
+	}
+	var ablations []core.Ablation
+	for _, a := range core.Ablations() {
+		if *ablation == "all" || *ablation == a.Name {
+			ablations = append(ablations, a)
+		}
+	}
+	if *ablation != "" && len(ablations) == 0 {
+		fmt.Fprintf(os.Stderr, "xeonchar: unknown ablation %q (have %s, all)\n", *ablation, strings.Join(ablationNames(), ", "))
 		os.Exit(2)
 	}
 
@@ -135,14 +140,14 @@ func run() (err error) {
 	if *traceOut != "" {
 		obs.SetTracer(obs.NewTracer())
 		defer func() {
-			if werr := writeTraceFile(*traceOut); werr != nil && err == nil {
+			if werr := writeObsFile(*traceOut, obs.CurrentTracer().WriteTrace); werr != nil && err == nil {
 				err = werr
 			}
 		}()
 	}
 	if *metricsOut != "" {
 		defer func() {
-			if werr := writeMetricsFile(*metricsOut); werr != nil && err == nil {
+			if werr := writeObsFile(*metricsOut, obs.Default.WriteJSON); werr != nil && err == nil {
 				err = werr
 			}
 		}()
@@ -280,12 +285,9 @@ func run() (err error) {
 		}
 	}
 
-	var single *core.SingleStudy
-	needSingle := *all || *fig == 2 || *fig == 3 || *table == 2 || *jsonOut != ""
-	if needSingle {
-		fmt.Fprintf(os.Stderr, "running single-program study (6 benchmarks x 8 configurations, scale %.2f)...\n", *scale)
-		single = core.NewSingleStudy()
-		if err := single.Run(ctx, opt); err != nil {
+	single := core.NewSingleStudy()
+	if *all || *fig == 2 || *fig == 3 || *table == 2 || *jsonOut != "" {
+		if err := runStudy(ctx, "single", single, opt); err != nil {
 			return err
 		}
 	}
@@ -337,9 +339,8 @@ func run() (err error) {
 		}
 	}
 	if *all || *fig == 4 {
-		fmt.Fprintf(os.Stderr, "running multi-program study (3 workloads x 8 configurations)...\n")
 		pairs := core.NewPairStudy()
-		if err := pairs.Run(ctx, opt); err != nil {
+		if err := runStudy(ctx, "pair", pairs, opt); err != nil {
 			return err
 		}
 		tables, err := pairs.Figure4Tables()
@@ -353,9 +354,8 @@ func run() (err error) {
 		}
 	}
 	if *all || *fig == 5 {
-		fmt.Fprintf(os.Stderr, "running cross-product study (21 pairs x 7 configurations)...\n")
 		cross := core.NewCrossStudy()
-		if err := cross.Run(ctx, opt); err != nil {
+		if err := runStudy(ctx, "cross", cross, opt); err != nil {
 			return err
 		}
 		fmt.Println(cross.Figure5Plot())
@@ -365,16 +365,44 @@ func run() (err error) {
 			}
 		}
 	}
+	for _, a := range ablations {
+		t, err := a.Run(ctx, opt)
+		if err != nil {
+			return err
+		}
+		if err := emit(t); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 
-// writeTraceFile dumps the process tracer's spans as Chrome trace JSON.
-func writeTraceFile(path string) error {
+// runStudy runs st under opt, announcing it and its cell count on stderr.
+func runStudy(ctx context.Context, name string, st core.Study, opt core.Options) error {
+	cells, err := st.Cells()
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(os.Stderr, "running %s study (%d cells, scale %.2f)...\n", name, len(cells), opt.Scale)
+	return st.Run(ctx, opt)
+}
+
+// ablationNames lists the -ablation choices besides "all".
+func ablationNames() []string {
+	var names []string
+	for _, a := range core.Ablations() {
+		names = append(names, a.Name)
+	}
+	return names
+}
+
+// writeObsFile creates path and streams one observability dump into it.
+func writeObsFile(path string, write func(w io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	werr := obs.CurrentTracer().WriteTrace(f)
+	werr := write(f)
 	cerr := f.Close()
 	if werr != nil {
 		return werr
@@ -382,20 +410,8 @@ func writeTraceFile(path string) error {
 	return cerr
 }
 
-// writeMetricsFile dumps the default metric registry as JSON.
-func writeMetricsFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	werr := obs.Default.WriteJSON(f)
-	cerr := f.Close()
-	if werr != nil {
-		return werr
-	}
-	return cerr
-}
-
+// runLmbench prints the Section 3 calibration against the paper's
+// targets, then the lat_mem_rd latency staircase from 4 KiB to 64 MiB.
 func runLmbench(emit func(*report.Table) error) error {
 	m, err := machine.New(machine.PaxvilleSMP())
 	if err != nil {
@@ -414,6 +430,21 @@ func runLmbench(emit func(*report.Table) error) error {
 	t.Add("write bandwidth, 1 chip", fmt.Sprintf("%.2f GB/s", r.WriteBW1/units.GB), "1.77 GB/s")
 	t.Add("read bandwidth, 2 chips", fmt.Sprintf("%.2f GB/s", r.ReadBW2/units.GB), "4.43 GB/s")
 	t.Add("write bandwidth, 2 chips", fmt.Sprintf("%.2f GB/s", r.WriteBW2/units.GB), "2.6 GB/s")
+	if err := emit(t); err != nil {
+		return err
+	}
+	var sizes []int64
+	for s := int64(4 * units.KiB); s <= 64*units.MiB; s *= 2 {
+		sizes = append(sizes, s)
+	}
+	points, err := lmbench.LatencyCurve(m, sizes)
+	if err != nil {
+		return err
+	}
+	t = report.NewTable("Section 3 — lat_mem_rd latency staircase", "size", "latency")
+	for _, p := range points {
+		t.Add(units.HumanBytes(p.Size), fmt.Sprintf("%.2f ns", p.LatencyNs))
+	}
 	return emit(t)
 }
 
@@ -432,7 +463,7 @@ func runPhases(ctx context.Context, bench, arch string, opt core.Options, emit f
 	if opt.SampleInterval <= 0 {
 		opt.SampleInterval = 500_000
 	}
-	res, err := core.RunSingleContext(ctx, prof, cfg, opt)
+	res, err := core.RunContext(ctx, core.Single(prof), cfg, opt)
 	if err != nil {
 		return err
 	}

@@ -17,6 +17,7 @@
 //	go test -bench=. -benchmem
 //
 // The command-line entry points live under cmd/: xeonchar (all figures and
-// tables), nasrun (functional NAS benchmarks), lmbench (Section 3
-// calibration) and sweep (design-choice ablations).
+// tables, the Section 3 calibration and the design-choice ablations) and
+// nasrun (functional NAS benchmarks), plus the xeond/xeonctl experiment
+// server and the xeonlint and benchsnap tooling.
 package xeonomp

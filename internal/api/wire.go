@@ -190,34 +190,21 @@ type ErrorResponse struct {
 	Code  string `json:"code,omitempty"`
 }
 
-// ParsePolicy maps the wire policy names onto sched placement policies,
-// the same names cmd/xeonchar's -policy flag accepts.
+// ParsePolicy maps the wire policy names onto sched placement policies:
+// the sched.Policy names, the same ones cmd/xeonchar's -policy flag
+// accepts, with "" meaning the alternate default.
 func ParsePolicy(s string) (sched.Policy, error) {
-	switch s {
-	case "", "alternate":
+	if s == "" {
 		return sched.Alternate, nil
-	case "block":
-		return sched.Block, nil
-	case "round-robin":
-		return sched.RoundRobin, nil
-	case "symbiotic":
-		return sched.Symbiotic, nil
 	}
-	return 0, fmt.Errorf("unknown policy %q (have alternate, block, round-robin, symbiotic)", s)
+	return sched.ParsePolicy(s)
 }
 
 // PolicyName is the inverse of ParsePolicy: the wire name of a sched
 // placement policy, as a remote backend must serialize it.
 func PolicyName(p sched.Policy) (string, error) {
-	switch p {
-	case sched.Alternate:
-		return "alternate", nil
-	case sched.Block:
-		return "block", nil
-	case sched.RoundRobin:
-		return "round-robin", nil
-	case sched.Symbiotic:
-		return "symbiotic", nil
+	if _, err := sched.ParsePolicy(p.String()); err != nil {
+		return "", fmt.Errorf("policy %v has no wire name", p)
 	}
-	return "", fmt.Errorf("policy %v has no wire name", p)
+	return p.String(), nil
 }

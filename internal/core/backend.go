@@ -17,19 +17,19 @@ var (
 )
 
 // Backend is the seam between study orchestration and cell execution.
-// Studies (experiments.go) decide *which* cells to run and how to reduce
-// them; a Backend decides *where and how* one cell runs. RunContext
-// dispatches every cell through Options.Backend, so swapping the backend
-// — local in-process execution, in-flight dedupe in front of it, a
-// concurrency gate, or (eventually) a remote shard — changes nothing
-// about study results: the golden artifacts and determinism pins are the
-// contract every implementation must honor.
+// Studies and ablations list *which* cells to run (Study.Cells) and how
+// to reduce them; a Backend decides *where and how* one cell runs.
+// RunContext dispatches every cell through Options.Backend, so swapping
+// the backend — local in-process execution, in-flight dedupe in front of
+// it, a concurrency gate, or (eventually) a remote shard — changes
+// nothing about study results: the golden artifacts and determinism pins
+// are the contract every implementation must honor.
 //
 // RunCell executes (or serves) one simulation cell. cached reports
 // whether the result was served from a cache, journal, or an identical
 // in-flight computation rather than simulated by this call; RunContext
 // owns the progress and metric accounting built on it. Implementations
-// must be safe for concurrent use: the study drivers call RunCell from
+// must be safe for concurrent use: RunCells calls RunCell from
 // Options.Workers goroutines at once.
 type Backend interface {
 	RunCell(ctx context.Context, w Workload, cfg config.Configuration, opt Options) (res *RunResult, cached bool, err error)
@@ -39,9 +39,9 @@ type Backend interface {
 // journal tiers when Options carries them, the cycle engine underneath.
 type localBackend struct{}
 
-// Local returns the in-process Backend — the execution path xeonchar and
-// sweep always used, now behind the seam. It is stateless; every call
-// reads its cache/journal wiring from the Options it is handed.
+// Local returns the in-process Backend — the execution path xeonchar
+// always used, now behind the seam. It is stateless; every call reads its
+// cache/journal wiring from the Options it is handed.
 func Local() Backend { return localBackend{} }
 
 func (localBackend) RunCell(ctx context.Context, w Workload, cfg config.Configuration, opt Options) (*RunResult, bool, error) {

@@ -14,16 +14,26 @@ import (
 )
 
 // countingBackend delegates to Local and counts executions — the probe
-// the dedupe and gate tests assert one-computation behaviour with.
+// for how many cells actually reached the inner backend — in total and
+// per "workload|config" name, which is unique within a study's cells.
 type countingBackend struct {
 	calls atomic.Int64
 	// hold, when non-nil, blocks every execution until it is closed, so
 	// tests can pile up concurrent identical requests deterministically.
 	hold chan struct{}
+
+	mu    sync.Mutex
+	cells map[string]int
 }
 
 func (b *countingBackend) RunCell(ctx context.Context, w Workload, cfg config.Configuration, opt Options) (*RunResult, bool, error) {
 	b.calls.Add(1)
+	b.mu.Lock()
+	if b.cells == nil {
+		b.cells = map[string]int{}
+	}
+	b.cells[w.Name()+"|"+cfg.Name]++
+	b.mu.Unlock()
 	if b.hold != nil {
 		select {
 		case <-b.hold:

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -164,6 +165,50 @@ func TestRunResultCodecRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(res, back) {
 		t.Fatal("codec round trip changed the result")
 	}
+}
+
+// FuzzDecodeRunResult feeds hostile bytes to the decoder every run-cache
+// and journal hit goes through: it must never panic, and whatever it
+// accepts must re-encode to bytes that decode to the same result.
+func FuzzDecodeRunResult(f *testing.F) {
+	cg, err := profiles.ByName("CG")
+	if err != nil {
+		f.Fatal(err)
+	}
+	cmt, err := config.ByArch(config.CMT)
+	if err != nil {
+		f.Fatal(err)
+	}
+	opt := quickOptions()
+	opt.SampleInterval = 200_000
+	res, err := RunSingle(cg, cmt, opt)
+	if err != nil {
+		f.Fatal(err)
+	}
+	payload, err := encodeRunResult(res)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(payload)
+	f.Add(payload[:len(payload)/2])
+	f.Add(bytes.Replace(payload, []byte(runSchemaVersion), []byte("xeonomp/run/v0"), 1))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		res, err := decodeRunResult(data)
+		if err != nil {
+			return
+		}
+		again, err := encodeRunResult(res)
+		if err != nil {
+			t.Fatalf("decoded result does not re-encode: %v", err)
+		}
+		back, err := decodeRunResult(again)
+		if err != nil {
+			t.Fatalf("re-encoded result does not decode: %v", err)
+		}
+		if !reflect.DeepEqual(res, back) {
+			t.Fatalf("decode, encode, decode changed the result:\n%+v\n%+v", res, back)
+		}
+	})
 }
 
 // TestCorruptCacheEntryRecomputed pins that a damaged disk entry is

@@ -67,7 +67,7 @@ type Options struct {
 	Cache *runcache.Cache
 	// Journal, when non-nil, records every computed cell to an append-only
 	// JSONL file and serves cells replayed from a previous, interrupted
-	// invocation — the -resume path of cmd/xeonchar and cmd/sweep.
+	// invocation — the -resume path of cmd/xeonchar.
 	Journal *journal.Journal
 	// Progress, when non-nil, receives cell-completion events for the
 	// stderr progress reporter (done/total, cache hit rate, ETA).
@@ -325,11 +325,6 @@ func runUncached(w Workload, cfg config.Configuration, opt Options) (*RunResult,
 // RunSingle is a convenience wrapper for one-program workloads.
 func RunSingle(p profiles.Profile, cfg config.Configuration, opt Options) (*RunResult, error) {
 	return RunContext(context.Background(), Single(p), cfg, opt)
-}
-
-// RunSingleContext is RunSingle with cancellation and span/label context.
-func RunSingleContext(ctx context.Context, p profiles.Profile, cfg config.Configuration, opt Options) (*RunResult, error) {
-	return RunContext(ctx, Single(p), cfg, opt)
 }
 
 // SerialBaseline runs benchmark p alone on the Serial configuration and

@@ -2,23 +2,49 @@ package core
 
 import (
 	"bytes"
+	"context"
+	"io"
 	"testing"
+
+	"xeonomp/internal/machine"
+	"xeonomp/internal/runcache"
 )
 
-// serializedStudy runs the reduced-scale single-program study and returns
-// every byte the study can emit: the canonical golden artifacts followed
-// by the full JSON export. This is the output surface the determinism
-// analyzer (internal/analysis) guards — if map-iteration order, a wall
-// clock, or an unseeded random draw ever leaks into the export path, two
-// in-process runs stop being byte-identical.
-func serializedStudy(t *testing.T, workers int) []byte {
+// serializedStudy runs the named study at reduced scale on the given
+// worker count, checks that Run sent every listed cell exactly once and
+// nothing else, and returns every byte the study can emit: the canonical
+// golden artifacts followed by the full JSON export where the study has
+// one. This is the output surface the determinism analyzer
+// (internal/analysis) guards — if map-iteration order, a wall clock, or an
+// unseeded random draw ever leaks into the export path, two in-process
+// runs stop being byte-identical.
+func serializedStudy(t *testing.T, name string, workers int) []byte {
 	t.Helper()
+	s, err := NewStudy(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells, err := s.Cells()
+	if err != nil {
+		t.Fatal(err)
+	}
+	counter := &countingBackend{}
 	opt := quickOptions()
 	opt.Seed = 7
 	opt.Workers = workers
-	s, err := runSingleStudy(opt)
-	if err != nil {
+	opt.Backend = counter
+	if err := s.Run(context.Background(), opt); err != nil {
 		t.Fatal(err)
+	}
+	for _, c := range cells {
+		key := c.Workload.Name() + "|" + c.Config.Name
+		if n := counter.cells[key]; n != 1 {
+			t.Errorf("%s study sent cell %s %d times, want once", name, key, n)
+		}
+		delete(counter.cells, key)
+	}
+	for key := range counter.cells {
+		t.Errorf("%s study sent cell %s, which Cells does not list", name, key)
 	}
 	arts, err := s.Artifacts()
 	if err != nil {
@@ -33,30 +59,120 @@ func serializedStudy(t *testing.T, workers int) []byte {
 		buf.Write(b)
 		buf.WriteByte('\n')
 	}
-	if err := s.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
+	if j, ok := s.(interface{ WriteJSON(io.Writer) error }); ok {
+		if err := j.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return buf.Bytes()
 }
 
-// TestStudySerializationIsBitStable runs the same study twice — once
-// sequentially, once on a parallel driver — and demands byte-identical
+// TestStudySerializationIsBitStable runs every registered study twice —
+// once sequentially, once on four workers — and demands byte-identical
 // golden JSON. TestStudiesWorkerInvariant already pins the in-memory
-// numbers; this pins the rendered artifacts, which is what the golden
-// regression gate actually diffs.
+// numbers of the single study; this pins the rendered artifacts, which is
+// what the golden regression gate actually diffs.
 func TestStudySerializationIsBitStable(t *testing.T) {
-	first := serializedStudy(t, 1)
-	second := serializedStudy(t, 4)
-	if !bytes.Equal(first, second) {
-		limit := 400
-		a, b := string(first), string(second)
-		for i := 0; i < len(a) && i < len(b); i++ {
-			if a[i] != b[i] {
-				lo := max(0, i-100)
-				t.Fatalf("study serialization diverged at byte %d:\nrun1: ...%.*s\nrun2: ...%.*s",
-					i, limit, a[lo:], limit, b[lo:])
+	for _, name := range StudyNames() {
+		t.Run(name, func(t *testing.T) {
+			if name == "cross" && testing.Short() {
+				t.Skip("153-cell cross study twice")
 			}
-		}
-		t.Fatalf("study serializations differ in length: %d vs %d bytes", len(first), len(second))
+			first := serializedStudy(t, name, 1)
+			second := serializedStudy(t, name, 4)
+			if !bytes.Equal(first, second) {
+				limit := 400
+				a, b := string(first), string(second)
+				for i := 0; i < len(a) && i < len(b); i++ {
+					if a[i] != b[i] {
+						lo := max(0, i-100)
+						t.Fatalf("study serialization diverged at byte %d:\nrun1: ...%.*s\nrun2: ...%.*s",
+							i, limit, a[lo:], limit, b[lo:])
+					}
+				}
+				t.Fatalf("study serializations differ in length: %d vs %d bytes", len(first), len(second))
+			}
+		})
 	}
+}
+
+// TestStudyCells pins each study's cell count: the budget the experiment
+// server admits a request against, and the sums behind the benchmark's
+// 122 (single, pair, single) and 227 (all three) cells. That Run sends
+// exactly the listed cells is checked by serializedStudy.
+func TestStudyCells(t *testing.T) {
+	want := map[string]int{"single": 48, "pair": 26, "cross": 153}
+	for _, name := range StudyNames() {
+		s, err := NewStudy(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cells, err := s.Cells()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(cells) != want[name] {
+			t.Errorf("study %s lists %d cells, want %d", name, len(cells), want[name])
+		}
+	}
+	if _, err := NewStudy("bogus"); err == nil {
+		t.Error("NewStudy accepted an unknown name")
+	}
+}
+
+// TestAblationsWorkerInvariant renders every ablation sequentially and on
+// four workers and demands identical tables. Each worker count has
+// its own run cache, shared across ablations the way xeonchar -ablation
+// all shares one.
+func TestAblationsWorkerInvariant(t *testing.T) {
+	opts := map[int]Options{}
+	for _, workers := range []int{1, 4} {
+		cache, err := runcache.New(0, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt := quickOptions()
+		opt.Scale = 0.01
+		opt.Workers = workers
+		opt.Cache = cache
+		opts[workers] = opt
+	}
+	for _, a := range Ablations() {
+		t.Run(a.Name, func(t *testing.T) {
+			var tables []string
+			for _, workers := range []int{1, 4} {
+				tb, err := a.Run(context.Background(), opts[workers])
+				if err != nil {
+					t.Fatal(err)
+				}
+				tables = append(tables, tb.String())
+			}
+			if tables[0] != tables[1] {
+				t.Errorf("ablation %s differs between 1 and 4 workers:\n%s\n%s", a.Name, tables[0], tables[1])
+			}
+		})
+	}
+}
+
+// TestMachineAblationsVaryOwnMachine pins that a machine ablation mutates
+// the platform the Options carry, so -machine and -ablation compose.
+func TestMachineAblationsVaryOwnMachine(t *testing.T) {
+	own := machine.PrestoniaSMP()
+	for _, a := range Ablations() {
+		if a.Name != "bus" {
+			continue
+		}
+		opt := quickOptions()
+		opt.Machine = &own
+		variant := opt
+		a.vary(&variant)
+		if got, want := variant.Machine.FSBBandwidth, own.FSBBandwidth/2; got != want {
+			t.Errorf("bus ablation of a custom machine has FSB %g, want %g", got, want)
+		}
+		if opt.Machine.FSBBandwidth != machine.PrestoniaSMP().FSBBandwidth {
+			t.Error("bus ablation mutated the base machine")
+		}
+		return
+	}
+	t.Fatal("no bus ablation")
 }

@@ -15,13 +15,14 @@ import (
 	"xeonomp/internal/stats"
 )
 
-// Study is the one seam every experiment driver shares: Run executes the
-// study's cells under opt (storing opt for provenance), honoring ctx
-// cancellation between cells, and Artifacts serializes the finished study
-// as golden regression artifacts stamped with the Options it ran under.
-// NewSingleStudy, NewPairStudy and NewCrossStudy build the three studies
-// of the paper.
+// Study is the one seam every experiment shares: Cells lists the
+// simulations the study needs, Run executes them under opt (storing opt
+// for provenance), honoring ctx cancellation between cells, and reduces
+// them, and Artifacts serializes the finished study as golden regression
+// artifacts stamped with the Options it ran under. NewSingleStudy,
+// NewPairStudy and NewCrossStudy build the three studies of the paper.
 type Study interface {
+	Cells() ([]Cell, error)
 	Run(ctx context.Context, opt Options) error
 	Artifacts() ([]*golden.Artifact, error)
 }
@@ -45,33 +46,103 @@ func NewStudy(name string) (Study, error) {
 	return nil, fmt.Errorf("core: unknown study %q (have %v)", name, StudyNames())
 }
 
-// StudyCells returns how many simulation cells study name will run —
-// the admission-control estimate the experiment server budgets requests
-// with. It mirrors the AddTotal accounting of each study's Run.
-func StudyCells(name string) (int, error) {
-	switch name {
-	case "single":
-		return len(profiles.StudiedNames()) * len(config.Table1()), nil
-	case "pair":
-		wls, err := Figure4Workloads()
-		if err != nil {
-			return 0, err
+// Cell is one simulation of a study or ablation: a workload on a
+// configuration. The Options come from the Run that executes it, so one
+// cell list serves every scale, seed and backend.
+type Cell struct {
+	Workload Workload
+	Config   config.Configuration
+}
+
+// RunCells runs every cell through RunContext on opt.Workers goroutines
+// and returns the results in cell order. It announces len(cells) to
+// opt.Progress first, so the progress line has its total and an ETA from
+// the first cell on.
+func RunCells(ctx context.Context, cells []Cell, opt Options) ([]*RunResult, error) {
+	opt.Progress.AddTotal(len(cells))
+	out := make([]*RunResult, len(cells))
+	err := forEachJob(ctx, len(cells), opt.Workers, func(ctx context.Context, i int) error {
+		res, err := RunContext(ctx, cells[i].Workload, cells[i].Config, opt)
+		out[i] = res
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// runStudy lists s's cells and runs them under a "study" trace span: the
+// shared first half of every Study.Run, which then reduces the results.
+func runStudy(ctx context.Context, name string, s Study, opt Options) ([]Cell, []*RunResult, error) {
+	ctx, sp := obs.StartSpan(ctx, "study", "name", name)
+	defer sp.End()
+	cells, err := s.Cells()
+	if err != nil {
+		return nil, nil, err
+	}
+	res, err := RunCells(ctx, cells, opt)
+	return cells, res, err
+}
+
+// gridCells lists every workload on every configuration, workload-major.
+func gridCells(wls []Workload, cfgs []config.Configuration) []Cell {
+	cells := make([]Cell, 0, len(wls)*len(cfgs))
+	for _, w := range wls {
+		for _, cfg := range cfgs {
+			cells = append(cells, Cell{w, cfg})
 		}
-		uniq := map[string]bool{}
-		for _, w := range wls {
-			for _, p := range w.Programs {
-				uniq[p.Name] = true
+	}
+	return cells
+}
+
+// serialCells lists the serial baseline cell of each distinct program in
+// wls, in first-appearance order: the denominators of every speedup.
+func serialCells(wls []Workload) ([]Cell, error) {
+	serial, err := config.ByArch(config.Serial)
+	if err != nil {
+		return nil, err
+	}
+	seen := map[string]bool{}
+	var cells []Cell
+	for _, w := range wls {
+		for _, p := range w.Programs {
+			if !seen[p.Name] {
+				seen[p.Name] = true
+				cells = append(cells, Cell{Single(p), serial})
 			}
 		}
-		return len(uniq) + len(wls)*len(config.Table1()), nil
-	case "cross":
-		pairs, err := CrossPairs()
-		if err != nil {
-			return 0, err
-		}
-		return len(profiles.StudiedNames()) + len(pairs)*len(config.Multithreaded()), nil
 	}
-	return 0, fmt.Errorf("core: unknown study %q (have %v)", name, StudyNames())
+	return cells, nil
+}
+
+// serialBaselines collects the wall cycles of the one-program Serial
+// cells of a RunCells batch, keyed by benchmark.
+func serialBaselines(cells []Cell, res []*RunResult) map[string]int64 {
+	out := map[string]int64{}
+	for i, c := range cells {
+		if c.Config.Arch == config.Serial && len(c.Workload.Programs) == 1 {
+			out[c.Workload.Name()] = res[i].WallCycles
+		}
+	}
+	return out
+}
+
+// workloadsOf builds one workload per list of benchmark names.
+func workloadsOf(mixes ...[]string) ([]Workload, error) {
+	out := make([]Workload, 0, len(mixes))
+	for _, names := range mixes {
+		var w Workload
+		for _, n := range names {
+			p, err := profiles.ByName(n)
+			if err != nil {
+				return nil, err
+			}
+			w.Programs = append(w.Programs, p)
+		}
+		out = append(out, w)
+	}
+	return out, nil
 }
 
 // forEachJob runs fn over 0..n-1 with the given worker count (<=1 means
@@ -167,48 +238,37 @@ type SingleStudy struct {
 // NewSingleStudy returns an empty single-program study; Run populates it.
 func NewSingleStudy() *SingleStudy { return &SingleStudy{} }
 
+// Cells lists every studied benchmark on every Table-1 configuration; the
+// Serial column doubles as the speedup baselines.
+func (s *SingleStudy) Cells() ([]Cell, error) {
+	var wls []Workload
+	for _, p := range profiles.Studied() {
+		wls = append(wls, Single(p))
+	}
+	return gridCells(wls, config.Table1()), nil
+}
+
 // Run executes every studied benchmark under every Table-1 configuration,
 // stopping between cells when ctx is canceled.
 func (s *SingleStudy) Run(ctx context.Context, opt Options) error {
-	ctx, sp := obs.StartSpan(ctx, "study", "name", "single")
-	defer sp.End()
+	cells, res, err := runStudy(ctx, "single", s, opt)
+	if err != nil {
+		return err
+	}
 	s.opt = opt
 	s.Benchmarks = profiles.StudiedNames()
 	s.Configs = config.Table1()
 	s.Results = map[CellKey]*RunResult{}
-	s.Baselines = map[string]int64{}
+	s.Baselines = serialBaselines(cells, res)
 	s.DTLBSerial = map[string]float64{}
-	type job struct {
-		bench string
-		cfg   config.Configuration
-	}
-	var jobs []job
-	for _, bn := range s.Benchmarks {
-		for _, cfg := range s.Configs {
-			jobs = append(jobs, job{bn, cfg})
+	for i, c := range cells {
+		bn := c.Workload.Name()
+		s.Results[CellKey{bn, c.Config.Name}] = res[i]
+		if c.Config.Arch == config.Serial {
+			s.DTLBSerial[bn] = res[i].Programs[0].Metrics.DTLBMisses
 		}
 	}
-	opt.Progress.AddTotal(len(jobs))
-	var mu sync.Mutex
-	return forEachJob(ctx, len(jobs), opt.Workers, func(ctx context.Context, i int) error {
-		j := jobs[i]
-		prof, err := profiles.ByName(j.bench)
-		if err != nil {
-			return err
-		}
-		res, err := RunSingleContext(ctx, prof, j.cfg, opt)
-		if err != nil {
-			return err
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		s.Results[CellKey{j.bench, j.cfg.Name}] = res
-		if j.cfg.Arch == config.Serial {
-			s.Baselines[j.bench] = res.WallCycles
-			s.DTLBSerial[j.bench] = res.Programs[0].Metrics.DTLBMisses
-		}
-		return nil
-	})
+	return nil
 }
 
 // Result returns the run for (benchmark, configuration name).
@@ -286,55 +346,43 @@ func NewPairStudy() *PairStudy { return &PairStudy{} }
 
 // Figure4Workloads returns the paper's three multi-program workloads.
 func Figure4Workloads() ([]Workload, error) {
-	cg, err := profiles.ByName("CG")
+	return workloadsOf([]string{"CG", "FT"}, []string{"FT", "FT"}, []string{"CG", "CG"})
+}
+
+// Cells lists the serial baseline of each paired benchmark, then every
+// Figure-4 workload on every Table-1 configuration.
+func (s *PairStudy) Cells() ([]Cell, error) {
+	wls, err := Figure4Workloads()
 	if err != nil {
 		return nil, err
 	}
-	ft, err := profiles.ByName("FT")
+	cells, err := serialCells(wls)
 	if err != nil {
 		return nil, err
 	}
-	return []Workload{Pair(cg, ft), Pair(ft, ft), Pair(cg, cg)}, nil
+	return append(cells, gridCells(wls, config.Table1())...), nil
 }
 
 // Run executes the Figure-4 workloads under every configuration, stopping
 // between cells when ctx is canceled.
 func (s *PairStudy) Run(ctx context.Context, opt Options) error {
-	ctx, sp := obs.StartSpan(ctx, "study", "name", "pair")
-	defer sp.End()
-	wls, err := Figure4Workloads()
+	cells, res, err := runStudy(ctx, "pair", s, opt)
 	if err != nil {
 		return err
 	}
+	if s.Workloads, err = Figure4Workloads(); err != nil {
+		return err
+	}
 	s.opt = opt
-	s.Workloads = wls
 	s.Configs = config.Table1()
 	s.Results = map[string]map[string]*RunResult{}
-	s.Baselines = map[string]int64{}
-	uniq := map[string]bool{}
-	for _, w := range wls {
-		for _, p := range w.Programs {
-			uniq[p.Name] = true
-		}
-	}
-	opt.Progress.AddTotal(len(uniq) + len(wls)*len(s.Configs))
-	for _, w := range wls {
+	s.Baselines = serialBaselines(cells, res)
+	for _, w := range s.Workloads {
 		s.Results[w.Name()] = map[string]*RunResult{}
-		for _, p := range w.Programs {
-			if _, ok := s.Baselines[p.Name]; !ok {
-				base, err := SerialBaselineContext(ctx, p, opt)
-				if err != nil {
-					return err
-				}
-				s.Baselines[p.Name] = base.WallCycles
-			}
-		}
-		for _, cfg := range s.Configs {
-			res, err := RunContext(ctx, w, cfg, opt)
-			if err != nil {
-				return err
-			}
-			s.Results[w.Name()][cfg.Name] = res
+	}
+	for i, c := range cells {
+		if len(c.Workload.Programs) > 1 {
+			s.Results[c.Workload.Name()][c.Config.Name] = res[i]
 		}
 	}
 	return nil
@@ -389,12 +437,37 @@ func CrossPairs() ([][2]string, error) {
 	return out, nil
 }
 
+// crossWorkloads returns the CrossPairs as two-program workloads.
+func crossWorkloads() ([]Workload, error) {
+	pairs, err := CrossPairs()
+	if err != nil {
+		return nil, err
+	}
+	mixes := make([][]string, 0, len(pairs))
+	for _, pr := range pairs {
+		mixes = append(mixes, []string{pr[0], pr[1]})
+	}
+	return workloadsOf(mixes...)
+}
+
+// Cells lists the serial baseline of each studied benchmark, then every
+// CrossPairs workload on every multithreaded configuration.
+func (s *CrossStudy) Cells() ([]Cell, error) {
+	wls, err := crossWorkloads()
+	if err != nil {
+		return nil, err
+	}
+	cells, err := serialCells(wls)
+	if err != nil {
+		return nil, err
+	}
+	return append(cells, gridCells(wls, config.Multithreaded())...), nil
+}
+
 // Run executes the full cross-product, stopping between cells when ctx is
 // canceled.
 func (s *CrossStudy) Run(ctx context.Context, opt Options) error {
-	ctx, sp := obs.StartSpan(ctx, "study", "name", "cross")
-	defer sp.End()
-	pairs, err := CrossPairs()
+	cells, res, err := runStudy(ctx, "cross", s, opt)
 	if err != nil {
 		return err
 	}
@@ -403,64 +476,24 @@ func (s *CrossStudy) Run(ctx context.Context, opt Options) error {
 	s.Samples = map[string][]float64{}
 	s.Boxes = map[string]stats.BoxPlot{}
 	s.PairSpeedups = map[string]map[string][]float64{}
-	opt.Progress.AddTotal(len(profiles.StudiedNames()))
-	baselines := map[string]int64{}
-	for _, name := range profiles.StudiedNames() {
-		p, err := profiles.ByName(name)
-		if err != nil {
-			return err
-		}
-		base, err := SerialBaselineContext(ctx, p, opt)
-		if err != nil {
-			return err
-		}
-		baselines[name] = base.WallCycles
-	}
-
-	type job struct {
-		cfg  config.Configuration
-		pair [2]string
-	}
-	var jobs []job
 	for _, cfg := range s.Configs {
 		s.PairSpeedups[cfg.Name] = map[string][]float64{}
-		for _, pr := range pairs {
-			jobs = append(jobs, job{cfg, pr})
-		}
 	}
-	opt.Progress.AddTotal(len(jobs))
-	var mu sync.Mutex
-	err = forEachJob(ctx, len(jobs), opt.Workers, func(ctx context.Context, i int) error {
-		j := jobs[i]
-		a, err := profiles.ByName(j.pair[0])
-		if err != nil {
-			return err
-		}
-		b, err := profiles.ByName(j.pair[1])
-		if err != nil {
-			return err
-		}
-		res, err := RunContext(ctx, Pair(a, b), j.cfg, opt)
-		if err != nil {
-			return err
+	baselines := serialBaselines(cells, res)
+	for i, c := range cells {
+		if len(c.Workload.Programs) == 1 {
+			continue
 		}
 		var sp []float64
-		for _, p := range res.Programs {
+		for _, p := range res[i].Programs {
 			sp = append(sp, Speedup(baselines[p.Benchmark], p.Cycles))
 		}
-		mu.Lock()
-		defer mu.Unlock()
-		s.PairSpeedups[j.cfg.Name][j.pair[0]+"/"+j.pair[1]] = sp
-		return nil
-	})
-	if err != nil {
-		return err
+		s.PairSpeedups[c.Config.Name][c.Workload.Name()] = sp
+		// Cells are pair-major in CrossPairs order, so each configuration's
+		// samples come out in that deterministic order.
+		s.Samples[c.Config.Name] = append(s.Samples[c.Config.Name], sp...)
 	}
-	// Deterministic sample order: pairs in CrossPairs order per config.
 	for _, cfg := range s.Configs {
-		for _, pr := range pairs {
-			s.Samples[cfg.Name] = append(s.Samples[cfg.Name], s.PairSpeedups[cfg.Name][pr[0]+"/"+pr[1]]...)
-		}
 		box, err := stats.Box(s.Samples[cfg.Name])
 		if err != nil {
 			return err

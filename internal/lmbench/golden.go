@@ -8,8 +8,8 @@ import (
 // Golden artifact names. "lmbench" pins the simulated Section-3
 // measurements against themselves (tight band — catches machine-model
 // drift); "lmbench-paper" pins them against the paper's published targets
-// (wide band — catches calibration rot). Both are checked by the same
-// machinery in cmd/xeonchar -check and cmd/lmbench -check.
+// (wide band — catches calibration rot). Both are checked with the rest
+// of the golden set by cmd/xeonchar -check.
 const (
 	GoldenName      = "lmbench"
 	PaperGoldenName = "lmbench-paper"

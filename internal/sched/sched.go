@@ -10,6 +10,7 @@ package sched
 
 import (
 	"fmt"
+	"strings"
 
 	"xeonomp/internal/cpu"
 	"xeonomp/internal/units"
@@ -52,6 +53,19 @@ func (p Policy) String() string {
 	default:
 		return fmt.Sprintf("policy(%d)", int(p))
 	}
+}
+
+// ParsePolicy is the inverse of String: it returns the policy with the
+// given name.
+func ParsePolicy(name string) (Policy, error) {
+	var names []string
+	for p := Alternate; p <= Symbiotic; p++ {
+		if p.String() == name {
+			return p, nil
+		}
+		names = append(names, p.String())
+	}
+	return 0, fmt.Errorf("unknown policy %q (have %s)", name, strings.Join(names, ", "))
 }
 
 // ProgramDemand summarizes a program's appetite for the shared resources

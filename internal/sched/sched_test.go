@@ -153,6 +153,20 @@ func TestPolicyString(t *testing.T) {
 	}
 }
 
+func TestParsePolicyInvertsString(t *testing.T) {
+	for _, p := range []Policy{Alternate, Block, RoundRobin, Symbiotic} {
+		back, err := ParsePolicy(p.String())
+		if err != nil || back != p {
+			t.Errorf("ParsePolicy(%q) = (%v, %v), want %v", p.String(), back, err, p)
+		}
+	}
+	for _, bad := range []string{"", "Alternate", Policy(42).String()} {
+		if _, err := ParsePolicy(bad); err == nil {
+			t.Errorf("ParsePolicy(%q) accepted an unknown name", bad)
+		}
+	}
+}
+
 func TestPlaceSymbioticPairsHeavyWithLight(t *testing.T) {
 	ctxs := contexts(t, 8)
 	// Four programs, two threads each; program demands: 0 heavy, 1 light,

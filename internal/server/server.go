@@ -338,7 +338,7 @@ func (s *Server) handleStudySubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, api.CodeBadRequest, "%v", err)
 		return
 	}
-	cells, err := core.StudyCells(req.Study)
+	cells, err := study.Cells()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, api.CodeBadRequest, "%v", err)
 		return
@@ -351,9 +351,9 @@ func (s *Server) handleStudySubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, api.CodeBadRequest, "%v", err)
 		return
 	}
-	if cells > s.cfg.MaxCellsPerRequest {
+	if len(cells) > s.cfg.MaxCellsPerRequest {
 		writeError(w, http.StatusTooManyRequests, api.CodeOverBudget,
-			"study %q expands to %d cells, over the per-request budget of %d", req.Study, cells, s.cfg.MaxCellsPerRequest)
+			"study %q expands to %d cells, over the per-request budget of %d", req.Study, len(cells), s.cfg.MaxCellsPerRequest)
 		return
 	}
 	hash, err := req.Hash()
@@ -375,7 +375,7 @@ func (s *Server) handleStudySubmit(w http.ResponseWriter, r *http.Request) {
 	s.jobSeq++
 	id := fmt.Sprintf("job-%d", s.jobSeq)
 	ctx, cancel := context.WithCancel(s.ctx)
-	j := newJob(id, hash, req, study, cells, cancel)
+	j := newJob(id, hash, req, study, len(cells), cancel)
 	s.jobs[id] = j
 	s.mu.Unlock()
 

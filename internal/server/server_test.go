@@ -184,18 +184,17 @@ func TestStudyOverHTTPByteIdentity(t *testing.T) {
 	if st, err = c.Study(ctx, st.ID); err != nil {
 		t.Fatalf("status: %v", err)
 	}
-	wantCells, err := core.StudyCells("single")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.DoneCells != wantCells || len(events) != wantCells+1 {
-		t.Errorf("done %d cells, %d events; want %d cells", st.DoneCells, len(events), wantCells)
-	}
-
 	// The local reference: same study, same knobs, no server.
 	study, err := core.NewStudy("single")
 	if err != nil {
 		t.Fatal(err)
+	}
+	cells, err := study.Cells()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wantCells := len(cells); st.DoneCells != wantCells || len(events) != wantCells+1 {
+		t.Errorf("done %d cells, %d events; want %d cells", st.DoneCells, len(events), wantCells)
 	}
 	opt, err := core.NewOptions(core.WithScale(testScale), core.WithSeed(1), core.WithPolicy(sched.Alternate))
 	if err != nil {
@@ -476,26 +475,5 @@ func TestStudyList(t *testing.T) {
 	}
 	if len(list) != 2 || list[0].ID != first.ID || list[1].ID != second.ID {
 		t.Fatalf("list %+v, want [%s %s] in submission order", list, first.ID, second.ID)
-	}
-}
-
-func TestStudyCellsMatchesStudyNames(t *testing.T) {
-	for _, name := range core.StudyNames() {
-		n, err := core.StudyCells(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n <= 0 {
-			t.Errorf("study %s reports %d cells", name, n)
-		}
-		if _, err := core.NewStudy(name); err != nil {
-			t.Errorf("NewStudy(%s): %v", name, err)
-		}
-	}
-	if _, err := core.NewStudy("bogus"); err == nil {
-		t.Error("NewStudy accepted an unknown name")
-	}
-	if _, err := core.StudyCells("bogus"); err == nil {
-		t.Error("StudyCells accepted an unknown name")
 	}
 }
