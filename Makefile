@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short race race-conc bench bench-cache bench-snapshot check ci check-golden update-golden figures figures-cached lmbench ablations profile fmt vet lint lint-conc lint-hot lint-fix lint-fix-clean pgo-fresh server-smoke shard-smoke clean
+.PHONY: build test test-short race race-conc fuzz bench bench-cache bench-snapshot check ci check-golden update-golden figures figures-cached lmbench ablations profile fmt vet lint lint-conc lint-hot lint-fix lint-fix-clean pgo-fresh server-smoke shard-smoke clean
 
 build:
 	$(GO) build ./...
@@ -25,6 +25,20 @@ race:
 # is not enough.
 race-conc:
 	$(GO) test -race -timeout 40m ./internal/server/... ./internal/core/...
+
+# Fuzz every target in the module for 10 s each. `go test -list` names
+# each package's Fuzz* targets, and they run one at a time, because
+# `go test -fuzz` takes a single target. A failing input is written
+# under the package's testdata/fuzz/, where plain `go test` replays it.
+fuzz:
+	@pkgs=$$($(GO) list ./...) || exit 1; \
+	for pkg in $$pkgs; do \
+		targets=$$($(GO) test -list '^Fuzz' $$pkg) || exit 1; \
+		for target in $$(echo "$$targets" | grep '^Fuzz'); do \
+			echo "fuzz: $$pkg $$target"; \
+			$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime 10s $$pkg || exit 1; \
+		done; \
+	done
 
 # One benchmark per paper table/figure; XEONOMP_BENCH_SCALE overrides the
 # per-iteration workload scale. -run '^$$' keeps the unit-test suite from
@@ -88,8 +102,9 @@ SRC_HASH := $(shell git ls-files -co --exclude-standard -- '*.go' go.mod | xargs
 
 # Runs the steps of .github/workflows/ci.yml's lint job and test matrix,
 # so contributors can reproduce a CI failure locally with a bare
-# `make ci`. Three CI steps keep their own targets: race-conc (the full
-# race pass over server and core), server-smoke and shard-smoke.
+# `make ci`; the matrix runs this target, fuzz pass included. Three CI
+# steps keep their own targets: race-conc (the full race pass over
+# server and core), server-smoke and shard-smoke.
 ci:
 	$(MAKE) lint
 	$(MAKE) pgo-fresh
@@ -99,6 +114,7 @@ ci:
 	$(GO) test -race -short ./...
 	$(MAKE) check-golden
 	$(MAKE) bench-snapshot
+	$(MAKE) fuzz
 
 # The paper-fidelity gate alone: rerun every study at the golden scale and
 # diff against the checked-in artifacts with their tolerance bands. The

@@ -166,11 +166,11 @@ type CellRequest struct {
 // there); Metrics is the derived view for human readers and thin
 // clients.
 type CellProgram struct {
-	Benchmark string            `json:"benchmark"`
-	Threads   int               `json:"threads"`
-	Cycles    int64             `json:"cycles"`
-	Counters  map[string]uint64 `json:"counters,omitempty"`
-	Metrics   counters.Metrics  `json:"metrics"`
+	Benchmark string           `json:"benchmark"`
+	Threads   int              `json:"threads"`
+	Cycles    int64            `json:"cycles"`
+	Counters  *counters.Set    `json:"counters,omitempty"`
+	Metrics   counters.Metrics `json:"metrics"`
 }
 
 // CellResponse is the POST /api/v1/cell response. Cached reports whether

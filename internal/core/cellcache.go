@@ -88,17 +88,17 @@ func runThroughCache(w Workload, cfg config.Configuration, opt Options, compute 
 // not stored: they are re-derived from the counters on decode, so a
 // cached result cannot disagree with what Derive produces today.
 type cellProgram struct {
-	Benchmark string            `json:"benchmark"`
-	Threads   int               `json:"threads"`
-	Cycles    int64             `json:"cycles"`
-	Counters  map[string]uint64 `json:"counters,omitempty"`
+	Benchmark string        `json:"benchmark"`
+	Threads   int           `json:"threads"`
+	Cycles    int64         `json:"cycles"`
+	Counters  *counters.Set `json:"counters,omitempty"`
 }
 
 // cellSample is the cache encoding of one sampler window.
 type cellSample struct {
-	Start    int64             `json:"start"`
-	End      int64             `json:"end"`
-	Counters map[string]uint64 `json:"counters,omitempty"`
+	Start    int64         `json:"start"`
+	End      int64         `json:"end"`
+	Counters *counters.Set `json:"counters,omitempty"`
 }
 
 // cellResult is the full-fidelity cache encoding of a RunResult.
@@ -123,7 +123,7 @@ func encodeRunResult(r *RunResult) ([]byte, error) {
 			Benchmark: p.Benchmark,
 			Threads:   p.Threads,
 			Cycles:    p.Cycles,
-			Counters:  p.Counters.NonzeroMap(),
+			Counters:  p.Counters.OrNil(),
 		})
 	}
 	for i := range r.Samples {
@@ -131,7 +131,7 @@ func encodeRunResult(r *RunResult) ([]byte, error) {
 		out.Samples = append(out.Samples, cellSample{
 			Start:    s.Start,
 			End:      s.End,
-			Counters: s.Counters.NonzeroMap(),
+			Counters: s.Counters.OrNil(),
 		})
 	}
 	return json.Marshal(out)
@@ -149,11 +149,11 @@ func decodeRunResult(payload []byte) (*RunResult, error) {
 		return nil, fmt.Errorf("core: cached result schema %q, want %q", in.Schema, runSchemaVersion)
 	}
 	res := &RunResult{Config: in.Config, WallCycles: in.WallCycles}
+	if len(in.Programs) > 0 {
+		res.Programs = make([]ProgramResult, 0, len(in.Programs))
+	}
 	for _, p := range in.Programs {
-		set, err := counters.SetFromMap(p.Counters)
-		if err != nil {
-			return nil, err
-		}
+		set := orZero(p.Counters)
 		res.Programs = append(res.Programs, ProgramResult{
 			Benchmark: p.Benchmark,
 			Threads:   p.Threads,
@@ -162,12 +162,19 @@ func decodeRunResult(payload []byte) (*RunResult, error) {
 			Metrics:   counters.Derive(&set),
 		})
 	}
+	if len(in.Samples) > 0 {
+		res.Samples = make([]machine.Sample, 0, len(in.Samples))
+	}
 	for _, s := range in.Samples {
-		set, err := counters.SetFromMap(s.Counters)
-		if err != nil {
-			return nil, err
-		}
-		res.Samples = append(res.Samples, machine.Sample{Start: s.Start, End: s.End, Counters: set})
+		res.Samples = append(res.Samples, machine.Sample{Start: s.Start, End: s.End, Counters: orZero(s.Counters)})
 	}
 	return res, nil
+}
+
+// orZero returns the set an omitted (nil) counters field stands for.
+func orZero(s *counters.Set) counters.Set {
+	if s == nil {
+		return counters.Set{}
+	}
+	return *s
 }

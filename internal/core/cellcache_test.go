@@ -167,6 +167,60 @@ func TestRunResultCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// pinnedPayloads hold the bytes existing run caches and journals hold,
+// encoded through a name-keyed counter map: a pair cell (CG/FT
+// time-shared on Serial) and a cell with two sampler windows (CG on HT on
+// -4-1), both at scale 0.01, seed 1, and a hand-built result whose
+// program and sample count nothing, so their counters are left out.
+// maxAllocs bounds decodeRunResult's allocations on each.
+var pinnedPayloads = []struct {
+	name, payload string
+	maxAllocs     float64
+}{
+	{"pair", `{"schema":"xeonomp/run/v1","config":{"Name":"Serial","Arch":"Serial","HT":false,"Threads":1,"Chips":1,"Contexts":[{"Chip":0,"Core":0,"Thread":0}],"Labels":["B0"]},"wall_cycles":737387,"programs":[{"benchmark":"CG","threads":1,"cycles":737387,"counters":{"branch_mispredicted":435,"branch_retired":10436,"bus_demand_read":643,"bus_prefetch":30,"bus_rfo":215,"bus_writeback":4,"cycles":245336,"dtlb_access":34689,"dtlb_miss":757,"instructions":77202,"itlb_access":207,"itlb_miss":5,"l1d_access":34689,"l1d_miss":1620,"l2_access":1620,"l2_miss":858,"mem_read_bytes":56832,"mem_write_bytes":256,"prefetch_issued":30,"prefetch_useful":33,"stall_cycles":204540,"tc_access":6864,"tc_miss":166}},{"benchmark":"FT","threads":1,"cycles":365592,"counters":{"branch_mispredicted":462,"branch_retired":8284,"bus_demand_read":687,"bus_prefetch":22,"bus_rfo":234,"bus_writeback":121,"cycles":241518,"dtlb_access":32738,"dtlb_miss":864,"instructions":87060,"itlb_access":217,"itlb_miss":3,"l1d_access":32738,"l1d_miss":2085,"l2_access":2085,"l2_miss":921,"mem_read_bytes":60352,"mem_write_bytes":7744,"prefetch_issued":22,"prefetch_useful":22,"stall_cycles":191463,"tc_access":5521,"tc_miss":459}}]}`, 23},
+	{"samples", `{"schema":"xeonomp/run/v1","config":{"Name":"HT on -4-1","Arch":"CMT","HT":true,"Threads":4,"Chips":1,"Contexts":[{"Chip":0,"Core":0,"Thread":0},{"Chip":0,"Core":0,"Thread":1},{"Chip":0,"Core":1,"Thread":0},{"Chip":0,"Core":1,"Thread":1}],"Labels":["A0","A1","A2","A3"]},"wall_cycles":111260,"programs":[{"benchmark":"CG","threads":4,"cycles":111260,"counters":{"barrier_cycles":10682,"branch_mispredicted":376,"branch_retired":10610,"bus_demand_read":611,"bus_prefetch":21,"bus_rfo":179,"cycles":299886,"dtlb_access":33664,"dtlb_miss":769,"instructions":77818,"itlb_access":70,"itlb_miss":10,"l1d_access":33664,"l1d_miss":1835,"l2_access":1835,"l2_miss":790,"mem_read_bytes":51904,"prefetch_issued":23,"prefetch_useful":23,"stall_cycles":239036,"tc_access":6924,"tc_miss":130}}],"samples":[{"start":1,"end":40001,"counters":{"branch_mispredicted":38,"branch_retired":772,"bus_demand_read":27,"bus_prefetch":2,"bus_rfo":9,"cycles":14964,"dtlb_access":1596,"dtlb_miss":35,"instructions":4200,"itlb_access":4,"l1d_access":1596,"l1d_miss":92,"l2_access":92,"l2_miss":36,"mem_read_bytes":2432,"prefetch_issued":2,"prefetch_useful":3,"stall_cycles":11941,"tc_access":445,"tc_miss":10}},{"start":40001,"end":80001,"counters":{"branch_mispredicted":204,"branch_retired":6235,"bus_demand_read":338,"bus_prefetch":10,"bus_rfo":108,"cycles":160460,"dtlb_access":18157,"dtlb_miss":428,"instructions":44740,"itlb_access":38,"itlb_miss":5,"l1d_access":18157,"l1d_miss":1016,"l2_access":1016,"l2_miss":446,"mem_read_bytes":29184,"prefetch_issued":11,"prefetch_useful":10,"stall_cycles":131481,"tc_access":3891,"tc_miss":68}}]}`, 32},
+	{"zero counters", `{"schema":"xeonomp/run/v1","config":{"Name":"Serial","Arch":"Serial","HT":false,"Threads":1,"Chips":1,"Contexts":[{"Chip":0,"Core":0,"Thread":0}],"Labels":["B0"]},"wall_cycles":0,"programs":[{"benchmark":"CG","threads":1,"cycles":0}],"samples":[{"start":1,"end":2}]}`, 21},
+}
+
+// TestPinnedPayloadsRoundTrip pins the payload bytes every existing disk
+// cache and journal holds: each pinned payload decodes and re-encodes
+// byte-identically. Reordering a field of cellResult or changing the
+// counter encoding fails here; such a change needs a runSchemaVersion
+// bump.
+func TestPinnedPayloadsRoundTrip(t *testing.T) {
+	for _, p := range pinnedPayloads {
+		res, err := decodeRunResult([]byte(p.payload))
+		if err != nil {
+			t.Fatalf("%s: %v", p.name, err)
+		}
+		if p.name == "samples" && len(res.Samples) != 2 {
+			t.Fatalf("%s: decoded %d samples, want 2", p.name, len(res.Samples))
+		}
+		again, err := encodeRunResult(res)
+		if err != nil {
+			t.Fatalf("%s: %v", p.name, err)
+		}
+		if string(again) != p.payload {
+			t.Fatalf("%s: re-encoded payload differs:\n got %s\nwant %s", p.name, again, p.payload)
+		}
+	}
+}
+
+// TestDecodeRunResultAllocs guards the warm-hit decode's allocations.
+func TestDecodeRunResultAllocs(t *testing.T) {
+	for _, p := range pinnedPayloads {
+		payload := []byte(p.payload)
+		n := testing.AllocsPerRun(50, func() {
+			if _, err := decodeRunResult(payload); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if n > p.maxAllocs {
+			t.Errorf("%s: decodeRunResult makes %.0f allocations, want at most %.0f", p.name, n, p.maxAllocs)
+		}
+	}
+}
+
 // FuzzDecodeRunResult feeds hostile bytes to the decoder every run-cache
 // and journal hit goes through: it must never panic, and whatever it
 // accepts must re-encode to bytes that decode to the same result.
@@ -192,6 +246,9 @@ func FuzzDecodeRunResult(f *testing.F) {
 	f.Add(payload)
 	f.Add(payload[:len(payload)/2])
 	f.Add(bytes.Replace(payload, []byte(runSchemaVersion), []byte("xeonomp/run/v0"), 1))
+	for _, p := range pinnedPayloads {
+		f.Add([]byte(p.payload))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		res, err := decodeRunResult(data)
 		if err != nil {

@@ -9,11 +9,11 @@ import (
 
 // exportProgram is the JSON shape of one program's results.
 type exportProgram struct {
-	Benchmark string            `json:"benchmark"`
-	Threads   int               `json:"threads"`
-	Cycles    int64             `json:"cycles"`
-	Counters  map[string]uint64 `json:"counters"`
-	Metrics   counters.Metrics  `json:"metrics"`
+	Benchmark string           `json:"benchmark"`
+	Threads   int              `json:"threads"`
+	Cycles    int64            `json:"cycles"`
+	Counters  counters.Set     `json:"counters"`
+	Metrics   counters.Metrics `json:"metrics"`
 }
 
 // exportRun is the JSON shape of one run.
@@ -31,19 +31,13 @@ func exportOf(r *RunResult) exportRun {
 		WallCycles: r.WallCycles,
 	}
 	for _, p := range r.Programs {
-		ep := exportProgram{
+		out.Programs = append(out.Programs, exportProgram{
 			Benchmark: p.Benchmark,
 			Threads:   p.Threads,
 			Cycles:    p.Cycles,
-			Counters:  map[string]uint64{},
+			Counters:  p.Counters,
 			Metrics:   p.Metrics,
-		}
-		for _, e := range counters.Events() {
-			if v := p.Counters.Get(e); v != 0 {
-				ep.Counters[e.String()] = v
-			}
-		}
-		out.Programs = append(out.Programs, ep)
+		})
 	}
 	return out
 }

@@ -119,6 +119,16 @@ func (s *Set) Clone() *Set {
 	return out
 }
 
+// OrNil returns s, or nil when s is nil or every count is zero: in a
+// *Set field under omitempty, an all-zero set is left out of the
+// encoding.
+func (s *Set) OrNil() *Set {
+	if s == nil || *s == (Set{}) {
+		return nil
+	}
+	return s
+}
+
 // Delta returns s - base per event. Counts are monotonic, so a negative
 // delta indicates misuse; Delta panics in that case.
 func (s *Set) Delta(base *Set) *Set {

@@ -1,12 +1,26 @@
 package counters
 
-import "fmt"
+import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"math"
+	"slices"
+	"strconv"
+	"strings"
+)
 
-// Name-keyed map form of a Set — the serialization the run cache, the
-// study journals, and the HTTP wire (api.CellProgram.Counters) all
-// share. Names, not ordinals, so a payload written before an event was
-// added (or reordered) still decodes, and one written by foreign code
-// fails loudly instead of silently misattributing counts.
+// A Set's JSON form is a flat object of its non-zero events by name —
+// the one counter encoding the run cache, the study journals, the HTTP
+// wire (api.CellProgram.Counters) and the JSON export share. Names, not ordinals, so a
+// payload written before an event was added (or reordered) still
+// decodes, and one written by foreign code fails loudly instead of
+// silently misattributing counts. The codec writes exactly the bytes
+// encoding/json writes for the equivalent map[string]uint64 and accepts
+// exactly what that map accepts, without building the map: existing
+// caches and journals stay readable, and a warm cell hit skips a map
+// allocation per program.
 
 // eventByName maps counter-event names back to events for decoding.
 var eventByName = func() map[string]Event {
@@ -17,32 +31,143 @@ var eventByName = func() map[string]Event {
 	return m
 }()
 
-// NonzeroMap flattens the set to its non-zero events by name; a set with
-// no counts returns nil, which serializers omit.
-func (s *Set) NonzeroMap() map[string]uint64 {
-	var m map[string]uint64
-	for _, e := range Events() {
-		if v := s.Get(e); v != 0 {
-			if m == nil {
-				m = map[string]uint64{}
-			}
-			m[e.String()] = v
+// sortedEvents lists the events in name order, the key order
+// encoding/json gives a map.
+var sortedEvents = func() []Event {
+	es := Events()
+	slices.SortFunc(es, func(a, b Event) int { return strings.Compare(a.String(), b.String()) })
+	return es
+}()
+
+// MarshalJSON writes the non-zero events as a flat object keyed by
+// event name in sorted order; an all-zero set writes {}. The value
+// receiver makes a Set encode the same whether or not it is addressable.
+func (s Set) MarshalJSON() ([]byte, error) {
+	b := make([]byte, 0, 32*NumEvents)
+	b = append(b, '{')
+	for _, e := range sortedEvents {
+		v := s.c[e]
+		if v == 0 {
+			continue
 		}
+		if len(b) > 1 {
+			b = append(b, ',')
+		}
+		b = append(b, '"')
+		b = append(b, eventNames[e]...)
+		b = append(b, '"', ':')
+		b = strconv.AppendUint(b, v, 10)
 	}
-	return m
+	return append(b, '}'), nil
 }
 
-// SetFromMap rebuilds a counter set from its name-keyed form; unknown
-// event names mean the payload was written by different code and must
-// not be trusted.
-func SetFromMap(m map[string]uint64) (Set, error) {
-	var s Set
-	for name, v := range m {
-		e, ok := eventByName[name]
-		if !ok {
-			return Set{}, fmt.Errorf("counters: unknown counter event %q in encoded set", name)
-		}
-		s.Add(e, v)
+// UnmarshalJSON replaces s with the counts of a flat object, under the
+// rules encoding/json applies to a map[string]uint64 plus a name lookup:
+// an unknown event name or a value that is not a uint64 is an error, a
+// repeated name keeps its last value, a null value counts zero, and an
+// escaped name is unescaped before the lookup. A null set leaves s
+// unchanged. On error s is unchanged.
+func (s *Set) UnmarshalJSON(data []byte) error {
+	d := skipSpace(data)
+	if rest, ok := bytes.CutPrefix(d, []byte("null")); ok && len(skipSpace(rest)) == 0 {
+		return nil
 	}
-	return s, nil
+	d, ok := bytes.CutPrefix(d, []byte("{"))
+	if !ok {
+		return errors.New("counters: encoded set is not a JSON object")
+	}
+	var out Set
+	d, closed := bytes.CutPrefix(skipSpace(d), []byte("}"))
+	for !closed {
+		name, rest, err := cutName(d)
+		if err != nil {
+			return err
+		}
+		if d, ok = bytes.CutPrefix(skipSpace(rest), []byte(":")); !ok {
+			return errSyntax
+		}
+		v, rest, err := cutCount(skipSpace(d))
+		if err != nil {
+			return err
+		}
+		e, known := eventByName[string(name)]
+		if !known {
+			return fmt.Errorf("counters: unknown counter event %q in encoded set", name)
+		}
+		out.c[e] = v
+		if d, closed = bytes.CutPrefix(skipSpace(rest), []byte("}")); !closed {
+			if d, ok = bytes.CutPrefix(d, []byte(",")); !ok {
+				return errSyntax
+			}
+			d = skipSpace(d)
+		}
+	}
+	if len(skipSpace(d)) != 0 {
+		return errSyntax
+	}
+	*s = out
+	return nil
+}
+
+var errSyntax = errors.New("counters: malformed encoded set")
+
+// skipSpace drops leading JSON whitespace.
+func skipSpace(d []byte) []byte {
+	for len(d) > 0 && (d[0] == ' ' || d[0] == '\t' || d[0] == '\n' || d[0] == '\r') {
+		d = d[1:]
+	}
+	return d
+}
+
+// cutName parses the JSON string at the head of d. A name without
+// escapes is returned in place; an escaped one is unescaped by
+// encoding/json, as a map key would be.
+func cutName(d []byte) ([]byte, []byte, error) {
+	if len(d) == 0 || d[0] != '"' {
+		return nil, d, errSyntax
+	}
+	escaped := false
+	for i := 1; i < len(d); i++ {
+		switch c := d[i]; {
+		case c == '"':
+			if !escaped {
+				return d[1:i], d[i+1:], nil
+			}
+			var name string
+			if err := json.Unmarshal(d[:i+1], &name); err != nil {
+				return nil, d, errSyntax
+			}
+			return []byte(name), d[i+1:], nil
+		case c == '\\':
+			escaped = true
+			i++
+		case c < 0x20:
+			return nil, d, errSyntax
+		}
+	}
+	return nil, d, errSyntax
+}
+
+// cutCount parses the count at the head of d: null (zero) or a JSON
+// integer that fits a uint64.
+func cutCount(d []byte) (uint64, []byte, error) {
+	if rest, ok := bytes.CutPrefix(d, []byte("null")); ok {
+		return 0, rest, nil
+	}
+	if len(d) == 0 || d[0] < '0' || d[0] > '9' {
+		return 0, d, errors.New("counters: encoded count is not a uint64")
+	}
+	if d[0] == '0' { // JSON forbids leading zeros
+		return 0, d[1:], nil
+	}
+	var v uint64
+	i := 0
+	for ; i < len(d) && '0' <= d[i] && d[i] <= '9'; i++ {
+		digit := uint64(d[i] - '0')
+		if v > (math.MaxUint64-digit)/10 {
+			return 0, d, errors.New("counters: encoded count overflows uint64")
+		}
+		v = v*10 + digit
+	}
+	return v, d[i:], nil
 }

@@ -17,6 +17,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -133,7 +134,7 @@ func (a *Artifact) normalize() error {
 	if strings.ContainsAny(a.Name, "/\\ ") {
 		return fmt.Errorf("golden: artifact name %q must be a file-name-safe slug", a.Name)
 	}
-	sort.SliceStable(a.Metrics, func(i, j int) bool { return a.Metrics[i].ID < a.Metrics[j].ID })
+	slices.SortStableFunc(a.Metrics, func(x, y Metric) int { return strings.Compare(x.ID, y.ID) })
 	for i, m := range a.Metrics {
 		if m.ID == "" {
 			return fmt.Errorf("golden: %s: metric %d has an empty id", a.Name, i)

@@ -176,3 +176,58 @@ func TestProgressNilSafe(t *testing.T) {
 	p.Done(true)
 	p.Finish()
 }
+
+// FuzzJournalReplay opens a journal file holding arbitrary bytes. Open
+// must never panic, and every replayed entry carries a key and a result.
+// An entry appended afterwards under a new key must replay after Close
+// and a second Open, beside everything the first Open replayed: the
+// torn-tail repair keeps it off whatever debris the file ended with.
+func FuzzJournalReplay(f *testing.F) {
+	good := `{"key":"k1","cell":"CG|Serial|seed=1","result":{"wall":100}}` + "\n"
+	f.Add([]byte(good))
+	f.Add([]byte(good + good[:25]))
+	f.Add([]byte(good + "{garbage\n" + good))
+	f.Add([]byte(good[:len(good)-1] + "\r"))
+	f.Add([]byte(`{"key":"","cell":"x","result":1}` + "\n"))
+	f.Add([]byte(`{"key":"k2","result":null}`))
+	f.Add([]byte("\r\n\n  \n"))
+	f.Add([]byte{})
+	path := filepath.Join(f.TempDir(), "run.jsonl")
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		j, err := Open(path)
+		if err != nil {
+			return
+		}
+		for k, v := range j.replayed {
+			if k == "" || len(v) == 0 {
+				t.Fatalf("replayed entry with key %q and result %q", k, v)
+			}
+		}
+		key := "appended"
+		for j.replayed[key] != nil {
+			key += "+"
+		}
+		result := `{"wall":1}`
+		if err := j.Append(key, "cell", []byte(result)); err != nil {
+			t.Fatal(err)
+		}
+		n := j.Len()
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		r, err := Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		if got, ok := r.Replayed(key); !ok || string(got) != result {
+			t.Fatalf("appended entry replayed as %q, %v; want %q", got, ok, result)
+		}
+		if r.Len() != n {
+			t.Fatalf("second open replayed %d cells, first open and the append held %d", r.Len(), n)
+		}
+	})
+}

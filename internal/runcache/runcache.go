@@ -19,13 +19,16 @@
 package runcache
 
 import (
+	"bytes"
 	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 
 	"xeonomp/internal/config"
@@ -77,14 +80,153 @@ type Key struct {
 }
 
 // Hash returns the cell's content address: the hex SHA-256 of the Key's
-// canonical JSON encoding.
+// canonical JSON encoding, json.Marshal(k). Existing disk caches and
+// journals are addressed by these bytes, so they must never change
+// without a schema bump.
 func (k Key) Hash() (string, error) {
-	b, err := json.Marshal(k)
+	b, err := k.appendJSON(make([]byte, 0, 4096))
 	if err != nil {
 		return "", fmt.Errorf("runcache: hashing key: %w", err)
 	}
 	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:]), nil
+	var h [2 * sha256.Size]byte
+	hex.Encode(h[:], sum[:])
+	return string(h[:]), nil
+}
+
+// keyTail holds the fields of Key that follow Workload, with the same
+// names and types in the same order, so its encoding less the opening
+// brace is the tail of Key's.
+type keyTail struct {
+	Config         config.Configuration
+	Policy         sched.Policy
+	Seed           uint64
+	Scale          float64
+	WarmupFrac     float64
+	CycleLimit     int64
+	SampleInterval int64
+}
+
+// appendJSON appends json.Marshal(k) to b. The machine and the profiles
+// make up most of those bytes and repeat across every cell of a study,
+// so their encodings come from process-wide memos and are spliced
+// between the encodings of the other fields.
+func (k Key) appendJSON(b []byte) ([]byte, error) {
+	schema, err := json.Marshal(k.Schema)
+	if err != nil {
+		return nil, err
+	}
+	m, err := machineJSON.encode(k.Machine)
+	if err != nil {
+		return nil, err
+	}
+	tail, err := json.Marshal(keyTail{
+		Config:         k.Config,
+		Policy:         k.Policy,
+		Seed:           k.Seed,
+		Scale:          k.Scale,
+		WarmupFrac:     k.WarmupFrac,
+		CycleLimit:     k.CycleLimit,
+		SampleInterval: k.SampleInterval,
+	})
+	if err != nil {
+		return nil, err
+	}
+	b = append(b, `{"Schema":`...)
+	b = append(b, schema...)
+	b = append(b, `,"Machine":`...)
+	b = append(b, m...)
+	b = append(b, `,"Workload":`...)
+	if k.Workload == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i, p := range k.Workload {
+			pj, err := profileJSON.encode(p)
+			if err != nil {
+				return nil, err
+			}
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, pj...)
+		}
+		b = append(b, ']')
+	}
+	b = append(b, ',')
+	return append(b, tail[1:]...), nil
+}
+
+// memoCap bounds each encoding memo. A process sees a handful of
+// machines and profiles; past the cap, values are encoded without being
+// stored.
+const memoCap = 64
+
+// jsonMemo maps values of a comparable plain-data type to their JSON
+// encodings.
+type jsonMemo[T comparable] struct {
+	mu sync.Mutex
+	m  map[T][]byte
+}
+
+var (
+	machineJSON jsonMemo[machine.Config]
+	profileJSON jsonMemo[profiles.Profile]
+)
+
+// encode returns json.Marshal(v), from the memo when v was seen before.
+// The returned bytes are shared and must not be modified.
+func (c *jsonMemo[T]) encode(v T) ([]byte, error) {
+	if !memoizable(reflect.ValueOf(&v).Elem()) {
+		return json.Marshal(v)
+	}
+	c.mu.Lock()
+	b, ok := c.m[v]
+	c.mu.Unlock()
+	if ok {
+		return b, nil
+	}
+	b, err := json.Marshal(v)
+	if err != nil {
+		return nil, err
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.m == nil {
+		c.m = map[T][]byte{}
+	}
+	if len(c.m) < memoCap {
+		c.m[v] = b
+	}
+	return b, nil
+}
+
+// memoizable reports whether v's encoding is a function of its map-key
+// identity. A negative-zero float is not: -0 == 0, so it would find the
+// entry of its positive twin, whose encoding differs ("-0" vs "0"). Nor
+// is anything behind a pointer or interface, which == compares by
+// address.
+func memoizable(v reflect.Value) bool {
+	switch v.Kind() {
+	case reflect.Float32, reflect.Float64:
+		f := v.Float()
+		return f != 0 || !math.Signbit(f)
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if !memoizable(v.Field(i)) {
+				return false
+			}
+		}
+	case reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			if !memoizable(v.Index(i)) {
+				return false
+			}
+		}
+	case reflect.Pointer, reflect.Interface, reflect.UnsafePointer:
+		return false
+	}
+	return true
 }
 
 // Stats counts cache traffic. Hits splits into memory and disk tiers;
@@ -119,7 +261,10 @@ type entry struct {
 
 // Cache is the two-tier content-addressed store. It is safe for
 // concurrent use; a nil *Cache is inert (Get always misses, Put is a
-// no-op), so callers can thread it through unconditionally.
+// no-op), so callers can thread it through unconditionally. The mutex
+// guards the memory tier and the stats only: disk reads and writes run
+// outside it, so concurrent lookups do not queue behind each other's
+// file I/O.
 type Cache struct {
 	mu    sync.Mutex
 	cap   int
@@ -162,32 +307,50 @@ func (c *Cache) Get(hash string) ([]byte, bool) {
 	}
 	t := obs.StartTimer()
 	defer obsLookupNs.ObserveSince(t)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[hash]; ok {
-		c.ll.MoveToFront(el)
-		c.stats.MemHits++
-		obsMemHits.Inc()
-		return el.Value.(*entry).payload, true
+	if payload, ok := c.memGet(hash); ok {
+		return payload, true
 	}
+	var payload []byte
+	var err error
 	if c.dir != "" {
-		payload, err := c.loadDisk(hash)
-		if err == nil && payload != nil {
-			c.stats.DiskHits++
-			obsDiskHits.Inc()
-			c.insertLocked(hash, payload)
-			return payload, true
-		}
+		payload, err = c.loadDisk(hash)
 		if err != nil {
-			// Corrupted or unreadable: drop the entry and recompute.
-			c.stats.DiskErrors++
-			obsDiskErrors.Inc()
+			// Corrupted or unreadable: drop the entry and recompute. If a
+			// concurrent Put of the same hash lands between the read and
+			// the removal, the removal takes the fresh entry with it,
+			// which costs one more recompute, never a wrong result.
 			_ = os.Remove(c.path(hash)) // best effort; a stale entry only costs a recompute
 		}
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	switch {
+	case err != nil:
+		c.stats.DiskErrors++
+		obsDiskErrors.Inc()
+	case payload != nil:
+		c.stats.DiskHits++
+		obsDiskHits.Inc()
+		c.insertLocked(hash, payload)
+		return payload, true
 	}
 	c.stats.Misses++
 	obsMisses.Inc()
 	return nil, false
+}
+
+// memGet serves hash from the memory tier, refreshing its LRU order.
+func (c *Cache) memGet(hash string) ([]byte, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.items[hash]
+	if !ok {
+		return nil, false
+	}
+	c.ll.MoveToFront(el)
+	c.stats.MemHits++
+	obsMemHits.Inc()
+	return el.Value.(*entry).payload, true
 }
 
 // Put stores payload under hash in the memory tier and, when a cache
@@ -198,8 +361,8 @@ func (c *Cache) Put(hash string, payload []byte) error {
 		return nil
 	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.insertLocked(hash, payload)
+	c.mu.Unlock()
 	if c.dir == "" {
 		return nil
 	}
@@ -293,23 +456,18 @@ func (c *Cache) loadDisk(hash string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	nl := -1
-	for i, b := range raw {
-		if b == '\n' {
-			nl = i
-			break
-		}
-	}
-	if nl < 0 {
+	header, payload, ok := bytes.Cut(raw, []byte{'\n'})
+	if !ok {
 		return nil, fmt.Errorf("runcache: %s: truncated header", hash)
 	}
-	var magic, want string
-	if _, err := fmt.Sscanf(string(raw[:nl]), "%s %s", &magic, &want); err != nil || magic != diskMagic {
+	magic, want, _ := bytes.Cut(header, []byte{' '})
+	if string(magic) != diskMagic {
 		return nil, fmt.Errorf("runcache: %s: bad header", hash)
 	}
-	payload := raw[nl+1:]
 	sum := sha256.Sum256(payload)
-	if hex.EncodeToString(sum[:]) != want {
+	var got [2 * sha256.Size]byte
+	hex.Encode(got[:], sum[:])
+	if !bytes.Equal(got[:], want) {
 		return nil, fmt.Errorf("runcache: %s: checksum mismatch", hash)
 	}
 	return payload, nil

@@ -1,9 +1,15 @@
 package runcache
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"xeonomp/internal/config"
@@ -112,6 +118,145 @@ func TestKeyRemarshalStable(t *testing.T) {
 	}
 	if h3 != h1 {
 		t.Fatalf("JSON round trip changed the key: %s vs %s", h3, h1)
+	}
+}
+
+// plainHash is the content-address definition Hash must keep:
+// hex(SHA-256(json.Marshal(k))).
+func plainHash(t *testing.T, k Key) string {
+	t.Helper()
+	b, err := json.Marshal(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
+}
+
+// TestKeyHashPinned pins baseKey's content address as a literal. Every
+// disk cache and journal is addressed by such hashes: reordering or
+// renaming a field of Key, machine.Config, profiles.Profile or
+// config.Configuration fails here instead of silently orphaning them.
+// Such a change needs a run-schema bump. The second Hash is served from
+// the encoding memos.
+func TestKeyHashPinned(t *testing.T) {
+	const want = "e433091e6bf5077bbe990abfbe0e46d149ab3cdd675811794fc2020c48c9104f"
+	for i := 0; i < 2; i++ {
+		h, err := baseKey(t).Hash()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h != want {
+			t.Fatalf("call %d: baseKey hash = %s, want %s", i+1, h, want)
+		}
+	}
+}
+
+// TestKeyHashNegativeZero pins that a negative-zero float bypasses the
+// encoding memos: -0 == 0 as a map key, but the two encode differently,
+// so neither may be served the other's bytes, whichever is seen first.
+func TestKeyHashNegativeZero(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	machineZero := func(k *Key, z float64) { k.Machine.Lat.SMTClash = z }
+	profileZero := func(k *Key, z float64) { k.Workload[0].Params.RandFrac = z }
+	for _, tc := range []struct {
+		name   string
+		set    func(*Key, float64)
+		zeroes []float64
+	}{
+		{"machine, +0 first", machineZero, []float64{0, negZero}},
+		{"profile, -0 first", profileZero, []float64{negZero, 0}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var hashes []string
+			for _, z := range tc.zeroes {
+				k := baseKey(t)
+				tc.set(&k, z)
+				for i := 0; i < 2; i++ {
+					h, err := k.Hash()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := plainHash(t, k); h != want {
+						t.Fatalf("zero %v, call %d: hash = %s, want %s", z, i+1, h, want)
+					}
+				}
+				h, err := k.Hash()
+				if err != nil {
+					t.Fatal(err)
+				}
+				hashes = append(hashes, h)
+			}
+			if hashes[0] == hashes[1] {
+				t.Fatal("-0 and +0 keys share a content address")
+			}
+		})
+	}
+}
+
+// TestKeyHashConcurrent hashes keys from several goroutines at once, so
+// the race detector sees the encoding memos shared.
+func TestKeyHashConcurrent(t *testing.T) {
+	var keys []Key
+	var want []string
+	for i := 0; i < 8; i++ {
+		k := baseKey(t)
+		k.Machine.L2.Size <<= i % 4
+		k.Workload[0].SerialInstr += int64(i / 4)
+		keys = append(keys, k)
+		want = append(want, plainHash(t, k))
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, k := range keys {
+				if h, err := k.Hash(); err != nil || h != want[i] {
+					t.Errorf("key %d: hash %s, %v; want %s", i, h, err, want[i])
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestConcurrentGetPut drives both tiers from several goroutines at once.
+// Disk reads and writes run outside the cache mutex, so the race detector
+// and the checks here cover them; a one-entry memory tier sends most
+// lookups to disk.
+func TestConcurrentGetPut(t *testing.T) {
+	c, err := New(1, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers, cells = 4, 16
+	payload := func(i int) []byte { return []byte(fmt.Sprintf(`{"cell":%d}`, i)) }
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := 0; n < 200; n++ {
+				i := (w*7 + n) % cells
+				hash := fmt.Sprintf("%064x", i)
+				if got, ok := c.Get(hash); ok {
+					if !bytes.Equal(got, payload(i)) {
+						t.Errorf("cell %d served %q", i, got)
+						return
+					}
+					continue
+				}
+				if err := c.Put(hash, payload(i)); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if s := c.Stats(); s.DiskErrors != 0 || s.DiskHits == 0 {
+		t.Fatalf("stats = %+v, want disk hits and no disk errors", s)
 	}
 }
 
@@ -235,4 +380,57 @@ func TestNilCacheIsInert(t *testing.T) {
 	if c.Len() != 0 || c.Stats() != (Stats{}) {
 		t.Fatal("nil cache not inert")
 	}
+}
+
+// FuzzDiskEntry writes arbitrary bytes as a disk entry. Get must never
+// panic, may serve a payload only when the header is exactly the magic,
+// one space and the payload's hex SHA-256, and otherwise must count a
+// disk error and a miss and remove the file.
+func FuzzDiskEntry(f *testing.F) {
+	dir := f.TempDir()
+	c, err := New(0, dir)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := c.Put("cafe", []byte(`{"schema":"xeonomp/run/v1","wall_cycles":1}`)); err != nil {
+		f.Fatal(err)
+	}
+	entry, err := os.ReadFile(filepath.Join(dir, "cafe.run"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	header, payload, _ := bytes.Cut(entry, []byte{'\n'})
+	f.Add(entry)
+	f.Add(entry[:len(entry)/2])
+	f.Add(append([]byte("xeonomp-runcache-v0"), entry[len(diskMagic):]...))
+	f.Add(append(append(append([]byte{}, header...), " junk\n"...), payload...))
+	f.Add([]byte(diskMagic + "\n"))
+	f.Add([]byte{})
+	path := filepath.Join(dir, "cafe.run")
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		c, err := New(0, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, ok := c.Get("cafe")
+
+		header, payload, found := bytes.Cut(raw, []byte{'\n'})
+		sum := sha256.Sum256(payload)
+		valid := found && string(header) == diskMagic+" "+hex.EncodeToString(sum[:])
+		s := c.Stats()
+		_, statErr := os.Stat(path)
+		switch {
+		case ok != valid:
+			t.Fatalf("Get served=%v for an entry whose framing verifies=%v", ok, valid)
+		case ok && !bytes.Equal(got, payload):
+			t.Fatalf("Get served %q, want the payload %q", got, payload)
+		case ok && (s.DiskHits != 1 || statErr != nil):
+			t.Fatalf("verified entry: stats %+v, stat error %v", s, statErr)
+		case !ok && (s.DiskErrors != 1 || s.Misses != 1 || !os.IsNotExist(statErr)):
+			t.Fatalf("rejected entry: stats %+v, stat error %v; want one disk error, one miss and the file removed", s, statErr)
+		}
+	})
 }

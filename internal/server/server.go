@@ -317,7 +317,7 @@ func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 			// Raw counters travel alongside the derived metrics: a remote
 			// backend rebuilds its RunResult (and its own cache/journal
 			// payloads) from them, re-deriving metrics on its side.
-			Counters: p.Counters.NonzeroMap(),
+			Counters: p.Counters.OrNil(),
 			Metrics:  p.Metrics,
 		})
 	}

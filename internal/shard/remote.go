@@ -145,13 +145,10 @@ func rebuild(resp api.CellResponse, cfg config.Configuration, w core.Workload) (
 		if p.Benchmark != w.Programs[i].Name {
 			return nil, fmt.Errorf("cell response program %d is %q, want %q", i, p.Benchmark, w.Programs[i].Name)
 		}
-		if len(p.Counters) == 0 {
+		if p.Counters.OrNil() == nil {
 			return nil, fmt.Errorf("cell response for %s carries no raw counters; the worker predates the counters field", p.Benchmark)
 		}
-		set, err := counters.SetFromMap(p.Counters)
-		if err != nil {
-			return nil, err
-		}
+		set := *p.Counters
 		res.Programs = append(res.Programs, core.ProgramResult{
 			Benchmark: p.Benchmark,
 			Threads:   p.Threads,
