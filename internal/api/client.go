@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -208,8 +209,10 @@ func responseError(method, path string, resp *http.Response) error {
 		e.Code, e.Message = body.Code, body.Error
 	}
 	if ra := resp.Header.Get("Retry-After"); ra != "" {
-		// The header value counts seconds (RFC 9110).
-		if n, err := strconv.Atoi(ra); err == nil && n >= 0 {
+		// The header value counts seconds (RFC 9110). A count past what a
+		// Duration holds would overflow into a negative delay, so it is
+		// ignored like any other unparsable value.
+		if n, err := strconv.ParseInt(ra, 10, 64); err == nil && n >= 0 && n <= math.MaxInt64/int64(time.Second) {
 			e.RetryAfter = time.Duration(n) * time.Second
 		}
 	}
@@ -248,7 +251,13 @@ func (c *Client) Progress(ctx context.Context, id string, after int) (*ProgressS
 		}()
 		return nil, responseError(http.MethodGet, path, resp)
 	}
-	return &ProgressStream{body: resp.Body, dec: json.NewDecoder(resp.Body), next: after + 1}, nil
+	return newProgressStream(resp.Body, after), nil
+}
+
+// newProgressStream reads the NDJSON events of body, delivering those
+// with Seq > after.
+func newProgressStream(body io.ReadCloser, after int) *ProgressStream {
+	return &ProgressStream{body: body, dec: json.NewDecoder(body), next: after + 1}
 }
 
 // Next returns the next unseen event. io.EOF means the server closed the

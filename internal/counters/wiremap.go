@@ -62,51 +62,87 @@ func (s Set) MarshalJSON() ([]byte, error) {
 }
 
 // UnmarshalJSON replaces s with the counts of a flat object, under the
-// rules encoding/json applies to a map[string]uint64 plus a name lookup:
-// an unknown event name or a value that is not a uint64 is an error, a
-// repeated name keeps its last value, a null value counts zero, and an
-// escaped name is unescaped before the lookup. A null set leaves s
-// unchanged. On error s is unchanged.
+// rules encoding/json applies to a map[string]uint64 plus a name lookup
+// (see CutSet). A null set leaves s unchanged. On error s is unchanged.
 func (s *Set) UnmarshalJSON(data []byte) error {
 	d := skipSpace(data)
 	if rest, ok := bytes.CutPrefix(d, []byte("null")); ok && len(skipSpace(rest)) == 0 {
 		return nil
 	}
-	d, ok := bytes.CutPrefix(d, []byte("{"))
-	if !ok {
-		return errors.New("counters: encoded set is not a JSON object")
+	out, rest, err := CutSet(d)
+	if err != nil {
+		return err
 	}
-	var out Set
-	d, closed := bytes.CutPrefix(skipSpace(d), []byte("}"))
-	for !closed {
-		name, rest, err := cutName(d)
-		if err != nil {
-			return err
-		}
-		if d, ok = bytes.CutPrefix(skipSpace(rest), []byte(":")); !ok {
-			return errSyntax
-		}
-		v, rest, err := cutCount(skipSpace(d))
-		if err != nil {
-			return err
-		}
-		e, known := eventByName[string(name)]
-		if !known {
-			return fmt.Errorf("counters: unknown counter event %q in encoded set", name)
-		}
-		out.c[e] = v
-		if d, closed = bytes.CutPrefix(skipSpace(rest), []byte("}")); !closed {
-			if d, ok = bytes.CutPrefix(d, []byte(",")); !ok {
-				return errSyntax
-			}
-			d = skipSpace(d)
-		}
-	}
-	if len(skipSpace(d)) != 0 {
+	if len(skipSpace(rest)) != 0 {
 		return errSyntax
 	}
 	*s = out
 	return nil
+}
+
+// CutSet parses the flat JSON object at the head of d and returns its
+// counts and the bytes after the closing brace. It is the one counter
+// scanner: UnmarshalJSON wraps it, and the run-cache payload decoder
+// calls it in place. An unknown event name or a value that is not a
+// uint64 is an error, a repeated name keeps its last value, a null value
+// counts zero, and an escaped name is unescaped before the lookup.
+// Whitespace is allowed inside the object but not before it.
+func CutSet(d []byte) (Set, []byte, error) {
+	var out Set
+	d, ok := cutByte(d, '{')
+	if !ok {
+		return Set{}, nil, errors.New("counters: encoded set is not a JSON object")
+	}
+	next := 0 // sortedEvents index one past the last name found there
+	d, closed := cutByte(skipSpace(d), '}')
+	for !closed {
+		name, rest, err := cutName(d)
+		if err != nil {
+			return Set{}, nil, err
+		}
+		if d, ok = cutByte(skipSpace(rest), ':'); !ok {
+			return Set{}, nil, errSyntax
+		}
+		v, rest, err := cutCount(skipSpace(d))
+		if err != nil {
+			return Set{}, nil, err
+		}
+		e, known := lookup(name, &next)
+		if !known {
+			return Set{}, nil, fmt.Errorf("counters: unknown counter event %q in encoded set", name)
+		}
+		out.c[e] = v
+		if d, closed = cutByte(skipSpace(rest), '}'); !closed {
+			if d, ok = cutByte(d, ','); !ok {
+				return Set{}, nil, errSyntax
+			}
+			d = skipSpace(d)
+		}
+	}
+	return out, d, nil
+}
+
+// lookup returns the event called name. MarshalJSON writes names in
+// sortedEvents order, so the scan starts at *next, one past the previous
+// name's place there, and only a name out of that order costs a map
+// lookup.
+func lookup(name []byte, next *int) (Event, bool) {
+	for k := *next; k < len(sortedEvents); k++ {
+		if eventNames[sortedEvents[k]] == string(name) {
+			*next = k + 1
+			return sortedEvents[k], true
+		}
+	}
+	e, ok := eventByName[string(name)]
+	return e, ok
+}
+
+// cutByte cuts c from the head of d.
+func cutByte(d []byte, c byte) ([]byte, bool) {
+	if len(d) > 0 && d[0] == c {
+		return d[1:], true
+	}
+	return d, false
 }
 
 var errSyntax = errors.New("counters: malformed encoded set")

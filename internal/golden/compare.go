@@ -150,27 +150,26 @@ func Compare(gold, live *Artifact) (*Report, error) {
 		// per-metric drift; stop at the whole-artifact diagnosis.
 		return r, nil
 	}
-	liveByID := make(map[string]Metric, len(live.Metrics))
-	for _, m := range live.Metrics {
-		liveByID[m.ID] = m
-	}
-	for _, gm := range gold.Metrics {
-		tol := gold.tolFor(gm)
-		lm, ok := liveByID[gm.ID]
-		if !ok {
-			r.Drifts = append(r.Drifts, Drift{ID: gm.ID, Kind: MissingInLive, Golden: gm.Value, Tol: tol})
-			continue
-		}
-		delete(liveByID, gm.ID)
-		if !tol.Allows(gm.Value, lm.Value) {
-			r.Drifts = append(r.Drifts, Drift{ID: gm.ID, Kind: Drifted, Golden: gm.Value, Live: lm.Value, Tol: tol})
-		}
-	}
-	// Whatever is left in the live set has no golden counterpart.
-	for _, m := range live.Metrics { // ordered walk keeps reports deterministic
-		if _, ok := liveByID[m.ID]; ok {
-			r.Drifts = append(r.Drifts, Drift{ID: m.ID, Kind: UnexpectedInLive, Live: m.Value, Tol: gold.DefaultTol})
+	// Both lists are sorted by ID and free of duplicates, so one merge
+	// walk pairs them up.
+	var unexpected []Drift
+	gm, lm := gold.Metrics, live.Metrics
+	for len(gm) > 0 || len(lm) > 0 {
+		switch {
+		case len(lm) == 0 || len(gm) > 0 && gm[0].ID < lm[0].ID:
+			r.Drifts = append(r.Drifts, Drift{ID: gm[0].ID, Kind: MissingInLive, Golden: gm[0].Value, Tol: gold.tolFor(gm[0])})
+			gm = gm[1:]
+		case len(gm) == 0 || lm[0].ID < gm[0].ID:
+			// No golden counterpart; reported after the golden-order drifts.
+			unexpected = append(unexpected, Drift{ID: lm[0].ID, Kind: UnexpectedInLive, Live: lm[0].Value, Tol: gold.DefaultTol})
+			lm = lm[1:]
+		default:
+			if tol := gold.tolFor(gm[0]); !tol.Allows(gm[0].Value, lm[0].Value) {
+				r.Drifts = append(r.Drifts, Drift{ID: gm[0].ID, Kind: Drifted, Golden: gm[0].Value, Live: lm[0].Value, Tol: tol})
+			}
+			gm, lm = gm[1:], lm[1:]
 		}
 	}
+	r.Drifts = append(r.Drifts, unexpected...)
 	return r, nil
 }

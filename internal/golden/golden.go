@@ -19,6 +19,7 @@ import (
 	"path/filepath"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -124,9 +125,11 @@ func (a *Artifact) tolFor(m Metric) Tolerance {
 	return a.DefaultTol
 }
 
-// normalize sorts the metrics by ID and rejects empty names, empty
-// artifacts, and duplicate IDs — a duplicate would make a drift report
-// ambiguous about which cell moved.
+// normalize sorts the metrics by ID, skipping the sort when they already
+// are, and rejects an empty or non-slug artifact name, an empty metric ID
+// and a duplicate ID — a duplicate would make a drift report ambiguous
+// about which cell moved. An artifact without metrics passes; it
+// marshals "metrics": null when Metrics is nil and [] when it is empty.
 func (a *Artifact) normalize() error {
 	if a.Name == "" {
 		return fmt.Errorf("golden: artifact without a name")
@@ -134,7 +137,10 @@ func (a *Artifact) normalize() error {
 	if strings.ContainsAny(a.Name, "/\\ ") {
 		return fmt.Errorf("golden: artifact name %q must be a file-name-safe slug", a.Name)
 	}
-	slices.SortStableFunc(a.Metrics, func(x, y Metric) int { return strings.Compare(x.ID, y.ID) })
+	byID := func(x, y Metric) int { return strings.Compare(x.ID, y.ID) }
+	if !slices.IsSortedFunc(a.Metrics, byID) {
+		slices.SortStableFunc(a.Metrics, byID)
+	}
 	for i, m := range a.Metrics {
 		if m.ID == "" {
 			return fmt.Errorf("golden: %s: metric %d has an empty id", a.Name, i)
@@ -149,16 +155,157 @@ func (a *Artifact) normalize() error {
 // MarshalCanonical renders the artifact as diff-stable JSON: metrics
 // sorted by ID, two-space indentation, trailing newline. Two artifacts
 // with the same content always serialize to the same bytes, so golden
-// files only change in review when a number actually moves.
+// files only change in review when a number actually moves. The bytes
+// are those of json.MarshalIndent(a, "", "  ") and a newline, written
+// directly: a NaN or infinite value fails with encoding/json's error,
+// and FuzzMarshalCanonical holds the two writers together.
 func (a *Artifact) MarshalCanonical() ([]byte, error) {
 	if err := a.normalize(); err != nil {
 		return nil, err
 	}
-	b, err := json.MarshalIndent(a, "", "  ")
-	if err != nil {
+	// Room for every metric without escapes, so the buffer is allocated
+	// once whatever the metric count.
+	n := 256 + len(a.Name) + len(a.Note)
+	for i := range a.Metrics {
+		m := &a.Metrics[i]
+		n += 96 + len(m.ID) + len(m.Unit)
+		if m.Tol != nil {
+			n += 128
+		}
+	}
+	b := make([]byte, 0, n)
+	b = append(b, "{\n  \"name\": "...)
+	b = appendString(b, a.Name)
+	b = append(b, ",\n  \"schema\": "...)
+	b = strconv.AppendInt(b, int64(a.Schema), 10)
+	var err error
+	if a.Scale != 0 {
+		b = append(b, ",\n  \"scale\": "...)
+		if b, err = appendFloat(b, a.Scale); err != nil {
+			return nil, err
+		}
+	}
+	if a.Seed != 0 {
+		b = append(b, ",\n  \"seed\": "...)
+		b = strconv.AppendUint(b, a.Seed, 10)
+	}
+	if a.Note != "" {
+		b = append(b, ",\n  \"note\": "...)
+		b = appendString(b, a.Note)
+	}
+	b = append(b, ",\n  \"default_tolerance\": "...)
+	if b, err = appendTolerance(b, a.DefaultTol, "\n  "); err != nil {
 		return nil, err
 	}
-	return append(b, '\n'), nil
+	b = append(b, ",\n  \"metrics\": "...)
+	switch {
+	case a.Metrics == nil:
+		b = append(b, "null"...)
+	case len(a.Metrics) == 0:
+		b = append(b, "[]"...)
+	default:
+		b = append(b, '[')
+		for i := range a.Metrics {
+			m := &a.Metrics[i]
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, "\n    {\n      \"id\": "...)
+			b = appendString(b, m.ID)
+			b = append(b, ",\n      \"value\": "...)
+			if b, err = appendFloat(b, m.Value); err != nil {
+				return nil, err
+			}
+			if m.Unit != "" {
+				b = append(b, ",\n      \"unit\": "...)
+				b = appendString(b, m.Unit)
+			}
+			if m.Tol != nil {
+				b = append(b, ",\n      \"tol\": "...)
+				if b, err = appendTolerance(b, *m.Tol, "\n      "); err != nil {
+					return nil, err
+				}
+			}
+			b = append(b, "\n    }"...)
+		}
+		b = append(b, "\n  ]"...)
+	}
+	return append(b, "\n}\n"...), nil
+}
+
+// appendTolerance appends t as MarshalIndent writes it at the
+// indentation nl (a newline and the indent of the line holding t's key):
+// {} for the zero band, one line per non-zero field otherwise.
+func appendTolerance(b []byte, t Tolerance, nl string) ([]byte, error) {
+	if t.Abs == 0 && t.Rel == 0 {
+		return append(b, "{}"...), nil
+	}
+	var err error
+	b = append(b, '{')
+	if t.Abs != 0 {
+		b = append(append(b, nl...), `  "abs": `...)
+		if b, err = appendFloat(b, t.Abs); err != nil {
+			return nil, err
+		}
+		if t.Rel != 0 {
+			b = append(b, ',')
+		}
+	}
+	if t.Rel != 0 {
+		b = append(append(b, nl...), `  "rel": `...)
+		if b, err = appendFloat(b, t.Rel); err != nil {
+			return nil, err
+		}
+	}
+	return append(append(b, nl...), '}'), nil
+}
+
+// appendFloat appends f as encoding/json writes a float64: the shortest
+// decimal that reads back as f, in exponent form only below 1e-6 or from
+// 1e21 up, with a one-digit negative exponent unpadded (1e-7, not
+// 1e-07). NaN and ±Inf have no JSON form; they fail with the error
+// json.Marshal gives them.
+func appendFloat(b []byte, f float64) ([]byte, error) {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		_, err := json.Marshal(f)
+		return nil, err
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b, nil
+}
+
+// needsEscape marks the bytes encoding/json does not copy into a string
+// as they are: control characters, the quote, the backslash, the HTML
+// characters <, > and &, and every byte from 0x80 up, which it checks
+// as UTF-8.
+var needsEscape = func() (t [256]bool) {
+	for c := range t {
+		t[c] = c < 0x20 || c >= 0x80 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&'
+	}
+	return t
+}()
+
+// appendString appends s as a JSON string: quoted as is when no byte of
+// it needs an escape, encoded by json.Marshal, for that string alone,
+// otherwise.
+func appendString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if needsEscape[s[i]] {
+			q, _ := json.Marshal(s) // a string always encodes
+			return append(b, q...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
 }
 
 // Filename returns the file name an artifact is stored under in a golden

@@ -2,7 +2,10 @@ package golden
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
@@ -159,5 +162,199 @@ func TestLoadCorrupt(t *testing.T) {
 	}
 	if _, err := Load(p); err == nil {
 		t.Fatal("corrupt artifact not rejected")
+	}
+}
+
+// TestMarshalCanonicalEdges pins three outputs the direct writer must
+// reproduce: null for nil metrics, [] for empty ones, and encoding/json's
+// error for a NaN value.
+func TestMarshalCanonicalEdges(t *testing.T) {
+	a := New("edges", Exact())
+	b, err := a.MarshalCanonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "{\n  \"name\": \"edges\",\n  \"schema\": 1,\n  \"default_tolerance\": {},\n  \"metrics\": null\n}\n"
+	if string(b) != want {
+		t.Errorf("nil metrics:\n got %q\nwant %q", b, want)
+	}
+	a.Metrics = []Metric{}
+	if b, err = a.MarshalCanonical(); err != nil {
+		t.Fatal(err)
+	}
+	if want := strings.Replace(want, "null", "[]", 1); string(b) != want {
+		t.Errorf("empty metrics:\n got %q\nwant %q", b, want)
+	}
+	a.Add("x", math.NaN())
+	if _, err := a.MarshalCanonical(); err == nil || err.Error() != "json: unsupported value: NaN" {
+		t.Errorf("NaN value: err = %v, want encoding/json's unsupported-value error", err)
+	}
+}
+
+// canonicalRef is the writer MarshalCanonical replaced, kept as its
+// reference: encoding/json's indented encoding of the normalized
+// artifact and a newline.
+func canonicalRef(a *Artifact) ([]byte, error) {
+	b, err := json.MarshalIndent(a, "", "  ")
+	if err != nil {
+		return nil, err
+	}
+	return append(b, '\n'), nil
+}
+
+// sameAsRef fails t unless MarshalCanonical and canonicalRef agree on
+// a, once normalized: the same bytes, or the same error. It returns the
+// bytes.
+func sameAsRef(t *testing.T, a *Artifact) []byte {
+	t.Helper()
+	if err := a.normalize(); err != nil {
+		t.Fatal(err)
+	}
+	want, wantErr := canonicalRef(a)
+	got, err := a.MarshalCanonical()
+	if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+		t.Fatalf("%s: error %v, json.MarshalIndent %v", a.Name, err, wantErr)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("%s: bytes differ from json.MarshalIndent:\n got %q\nwant %q", a.Name, got, want)
+	}
+	return got
+}
+
+// TestMarshalCanonicalGoldenBytes holds the writer to json.MarshalIndent
+// on every checked-in artifact, and to the file bytes themselves.
+func TestMarshalCanonicalGoldenBytes(t *testing.T) {
+	dir := filepath.Join("..", "..", "testdata", "golden")
+	arts, err := LoadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range arts {
+		b := sameAsRef(t, a)
+		file, err := os.ReadFile(filepath.Join(dir, Filename(a.Name)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(b, file) {
+			t.Errorf("%s: load and marshal does not give back the file", a.Name)
+		}
+	}
+}
+
+// FuzzMarshalCanonical holds the direct writer to json.MarshalIndent on
+// artifacts with fuzzed names, notes, IDs, units, values and bands. The
+// shape byte picks nil, empty or two metrics (bits 0-1), a band on the
+// second metric (bit 2) and a non-zero default band (bit 3).
+func FuzzMarshalCanonical(f *testing.F) {
+	negZero := math.Copysign(0, -1)
+	f.Add("fig", "note", "CG/Serial/cpi", "CG/HT on -4-1/speedup", "ns", 2.25, 1.832, 0.1, 1e-9, 0.2, uint64(1), uint8(2|4|8))
+	f.Add("a<b>&c", "<&>  ", "id\x01\x1f\"\\", "é\xff\xfe", "\x7f", negZero, 1e-7, negZero, negZero, 1e21, uint64(0), uint8(3|4))
+	f.Add("x", "", "a", "b", "", 1e-6, 9.99999e-7, 5e-324, math.MaxFloat64, -1e-300, uint64(math.MaxUint64), uint8(2))
+	f.Add("x", "", "a", "b", "", 123456789.0, 1e20, 0.0, 0.0, 0.0, uint64(7), uint8(0))
+	f.Add("x", "", "a", "b", "", 0.0, 0.0, 0.0, 0.0, 0.0, uint64(0), uint8(1|8))
+	f.Add("x", "", "a", "a", "", 1.0, 2.0, 0.0, 0.0, 0.0, uint64(0), uint8(2))
+	f.Add("x", "", "", "b", "", 1.0, 2.0, 0.0, 0.0, 0.0, uint64(0), uint8(2))
+	f.Add("x y", "", "a", "b", "", 1.0, 2.0, 0.0, 0.0, 0.0, uint64(0), uint8(2))
+	f.Add("x", "", "a", "b", "u", math.NaN(), 1.0, 0.0, 0.0, 0.0, uint64(0), uint8(2))
+	f.Add("x", "", "a", "b", "u", 1.0, math.Inf(1), 0.0, 0.0, 0.0, uint64(0), uint8(2))
+	f.Add("x", "", "a", "b", "u", 1.0, 2.0, math.Inf(-1), 0.0, 0.0, uint64(0), uint8(2))
+	f.Add("x", "", "a", "b", "u", 1.0, 2.0, 0.0, math.NaN(), 0.0, uint64(0), uint8(2|4))
+	f.Add("x", "", "a", "b", "u", 1.0, 2.0, 0.0, 0.0, math.Inf(1), uint64(0), uint8(8))
+	f.Fuzz(func(t *testing.T, name, note, id1, id2, unit string, v1, v2, scale, abs, rel float64, seed uint64, shape uint8) {
+		a := New(name, Exact())
+		a.Note, a.Scale, a.Seed = note, scale, seed
+		band := Tolerance{Abs: abs, Rel: rel}
+		if shape&8 != 0 {
+			a.DefaultTol = band
+		}
+		switch shape & 3 {
+		case 1:
+			a.Metrics = []Metric{}
+		case 2, 3:
+			a.AddUnit(id1, v1, unit)
+			if shape&4 != 0 {
+				a.AddTol(id2, v2, band)
+			} else {
+				a.Add(id2, v2)
+			}
+		}
+		if a.normalize() != nil {
+			if _, err := a.MarshalCanonical(); err == nil {
+				t.Fatal("MarshalCanonical accepts an artifact normalize rejects")
+			}
+			return
+		}
+		sameAsRef(t, a)
+	})
+}
+
+// synthetic builds an artifact shaped like a warm pass's output: n
+// metrics over benchmark, configuration and metric names, in shuffled
+// order, every seventh with its own band and every thirteenth with a
+// unit.
+func synthetic(n int) *Artifact {
+	a := New("synthetic", Relative(1e-6))
+	a.Scale, a.Seed, a.Note = 0.1, 1, "synthetic warm-pass artifact"
+	benches := []string{"BT", "CG", "EP", "FT", "IS", "LU", "MG", "SP"}
+	cfgs := []string{"Serial", "HT on -2-1", "HT off -2-1", "HT on -4-1", "HT off -4-2", "HT on -4-2", "HT on -8-2"}
+	names := []string{"branch_pred_rate", "cpi", "dtlb_normalized", "l1_miss_rate", "l2_miss_rate", "speedup", "stalled_pct"}
+	for i := 0; i < n; i++ {
+		id := fmt.Sprintf("%s/%s/%s/%d", benches[i%len(benches)], cfgs[i/len(benches)%len(cfgs)], names[i%len(names)], i)
+		v := float64(i*7919%1000003) / 997 * math.Pow(10, float64(i%9-4))
+		switch {
+		case i%7 == 0:
+			a.AddTol(id, v, Tolerance{Abs: 0.5, Rel: 1e-3})
+		case i%13 == 0:
+			a.AddUnit(id, v, "ns")
+		default:
+			a.Add(id, v)
+		}
+	}
+	rand.New(rand.NewSource(1)).Shuffle(len(a.Metrics), func(i, j int) {
+		a.Metrics[i], a.Metrics[j] = a.Metrics[j], a.Metrics[i]
+	})
+	return a
+}
+
+// TestMarshalCanonicalAllocs guards that the writer allocates its
+// buffer once, however many metrics the artifact holds.
+func TestMarshalCanonicalAllocs(t *testing.T) {
+	for _, n := range []int{10, 2600} {
+		a := synthetic(n)
+		sameAsRef(t, a)
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := a.MarshalCanonical(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 1 {
+			t.Errorf("%d metrics: MarshalCanonical makes %.0f allocations, want 1", n, allocs)
+		}
+	}
+}
+
+func BenchmarkMarshalCanonical(b *testing.B) {
+	a := synthetic(2600)
+	if _, err := a.MarshalCanonical(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := a.MarshalCanonical(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkCompare(b *testing.B) {
+	gold, live := synthetic(2600), synthetic(2600)
+	live.Metrics[len(live.Metrics)/2].Value++
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Compare(gold, live); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
