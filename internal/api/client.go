@@ -100,10 +100,23 @@ func (c *Client) Artifact(ctx context.Context, id, name string) ([]byte, error) 
 
 // RunCell executes one simulation cell synchronously on the daemon and
 // returns its outcome, including the raw per-program counters a remote
-// backend rebuilds full results from.
+// backend rebuilds full results from. A body in the layout a worker of
+// this tree writes is read directly; any other goes to encoding/json,
+// so workers built from other trees still interoperate.
 func (c *Client) RunCell(ctx context.Context, req CellRequest) (CellResponse, error) {
 	var resp CellResponse
-	err := c.doJSON(ctx, http.MethodPost, "/api/v1/cell", req, &resp)
+	err := c.do(ctx, http.MethodPost, "/api/v1/cell", req, func(body io.Reader) error {
+		var buf bytes.Buffer
+		buf.Grow(4096)
+		if _, err := buf.ReadFrom(body); err != nil {
+			return err
+		}
+		if r, ok := decodeCellResponse(buf.Bytes()); ok {
+			resp = r
+			return nil
+		}
+		return json.NewDecoder(&buf).Decode(&resp)
+	})
 	return resp, err
 }
 
@@ -129,6 +142,18 @@ func (c *Client) withCallTimeout(ctx context.Context) (context.Context, context.
 // doJSON performs one unary request, decoding the JSON response into out
 // (which may be nil) and turning every failure into a typed error.
 func (c *Client) doJSON(ctx context.Context, method, path string, body, out any) error {
+	var read func(io.Reader) error
+	if out != nil {
+		read = func(r io.Reader) error { return json.NewDecoder(r).Decode(out) }
+	}
+	return c.do(ctx, method, path, body, read)
+}
+
+// do performs one unary request with an optional JSON body, hands a 2xx
+// response body to read (which may be nil) and turns every failure into
+// a typed error: read's failure, like a dropped connection, is an
+// ErrTransport.
+func (c *Client) do(ctx context.Context, method, path string, body any, read func(io.Reader) error) error {
 	ctx, cancel := c.withCallTimeout(ctx)
 	defer cancel()
 	var rd io.Reader
@@ -157,10 +182,10 @@ func (c *Client) doJSON(ctx context.Context, method, path string, body, out any)
 	if resp.StatusCode/100 != 2 {
 		return responseError(method, path, resp)
 	}
-	if out == nil {
+	if read == nil {
 		return nil
 	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+	if err := read(resp.Body); err != nil {
 		return transportError(method, path, err)
 	}
 	return nil

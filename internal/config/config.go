@@ -7,8 +7,10 @@ package config
 
 import (
 	"fmt"
+	"strconv"
 
 	"xeonomp/internal/cpu"
+	"xeonomp/internal/jsonfmt"
 	"xeonomp/internal/machine"
 )
 
@@ -45,6 +47,89 @@ type Configuration struct {
 
 // String returns the Table-1 terminology.
 func (c Configuration) String() string { return c.Name }
+
+// AppendJSON appends json.Marshal(c) to b: the fields in declaration
+// order under their Go names, null for a nil slice. The run-cache key
+// and payload embed these bytes, so they must never change without a
+// schema bump there.
+func (c Configuration) AppendJSON(b []byte) []byte {
+	b = append(b, `{"Name":`...)
+	b = jsonfmt.AppendString(b, c.Name)
+	b = append(b, `,"Arch":`...)
+	b = jsonfmt.AppendString(b, string(c.Arch))
+	b = append(b, `,"HT":`...)
+	b = strconv.AppendBool(b, c.HT)
+	b = append(b, `,"Threads":`...)
+	b = strconv.AppendInt(b, int64(c.Threads), 10)
+	b = append(b, `,"Chips":`...)
+	b = strconv.AppendInt(b, int64(c.Chips), 10)
+	b = append(b, `,"Contexts":`...)
+	if c.Contexts == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i, id := range c.Contexts {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, `{"Chip":`...)
+			b = strconv.AppendInt(b, int64(id.Chip), 10)
+			b = append(b, `,"Core":`...)
+			b = strconv.AppendInt(b, int64(id.Core), 10)
+			b = append(b, `,"Thread":`...)
+			b = strconv.AppendInt(b, int64(id.Thread), 10)
+			b = append(b, '}')
+		}
+		b = append(b, ']')
+	}
+	b = append(b, `,"Labels":`...)
+	if c.Labels == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i, l := range c.Labels {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = jsonfmt.AppendString(b, l)
+		}
+		b = append(b, ']')
+	}
+	return append(b, '}')
+}
+
+// ScanJSON reads a Configuration in AppendJSON's layout from s.
+func ScanJSON(s *jsonfmt.Scanner) Configuration {
+	var c Configuration
+	s.Lit(`{"Name":`)
+	c.Name = s.Str()
+	s.Lit(`,"Arch":`)
+	c.Arch = Arch(s.Str())
+	s.Lit(`,"HT":`)
+	c.HT = s.Bool()
+	s.Lit(`,"Threads":`)
+	c.Threads = s.Int()
+	s.Lit(`,"Chips":`)
+	c.Chips = s.Int()
+	s.Lit(`,"Contexts":`)
+	c.Contexts = jsonfmt.List(s, scanCtxID)
+	s.Lit(`,"Labels":`)
+	c.Labels = jsonfmt.List(s, (*jsonfmt.Scanner).Str)
+	s.Lit("}")
+	return c
+}
+
+func scanCtxID(s *jsonfmt.Scanner) CtxID {
+	var id CtxID
+	s.Lit(`{"Chip":`)
+	id.Chip = s.Int()
+	s.Lit(`,"Core":`)
+	id.Core = s.Int()
+	s.Lit(`,"Thread":`)
+	id.Thread = s.Int()
+	s.Lit("}")
+	return id
+}
 
 // Apply masks the machine so that exactly this configuration's contexts are
 // enabled (the kernel maxcpus= emulation from the paper's methodology).

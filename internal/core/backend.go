@@ -52,7 +52,7 @@ func (localBackend) RunCell(ctx context.Context, w Workload, cfg config.Configur
 		res, err := runUncached(w, cfg, opt)
 		return res, false, err
 	}
-	return runThroughCache(w, cfg, opt, func() (*RunResult, bool, error) {
+	return runThroughCache(ctx, w, cfg, opt, func() (*RunResult, bool, error) {
 		res, err := runUncached(w, cfg, opt)
 		return res, false, err
 	})
@@ -76,7 +76,7 @@ func (b cachedBackend) RunCell(ctx context.Context, w Workload, cfg config.Confi
 	if opt.Cache == nil && opt.Journal == nil {
 		return b.inner.RunCell(ctx, w, cfg, opt)
 	}
-	return runThroughCache(w, cfg, opt, func() (*RunResult, bool, error) {
+	return runThroughCache(ctx, w, cfg, opt, func() (*RunResult, bool, error) {
 		return b.inner.RunCell(ctx, w, cfg, opt)
 	})
 }
@@ -115,11 +115,11 @@ func NewDedupe(inner Backend) *Dedupe {
 }
 
 // RunCell implements Backend. Cells are identified by the same
-// content-address the run cache uses, so "identical" means identical in
-// every result-affecting input; an unhashable key (impossible with
-// plain-data inputs) degrades to plain execution.
+// content-address the run cache uses (CellHash), so "identical" means
+// identical in every result-affecting input; an unhashable key
+// (impossible with plain-data inputs) degrades to plain execution.
 func (d *Dedupe) RunCell(ctx context.Context, w Workload, cfg config.Configuration, opt Options) (*RunResult, bool, error) {
-	hash, err := CacheKey(w, cfg, opt).Hash()
+	hash, err := CellHash(ctx, w, cfg, opt)
 	if err != nil {
 		return d.inner.RunCell(ctx, w, cfg, opt)
 	}

@@ -1,12 +1,15 @@
 package core
 
 import (
-	"encoding/json"
+	"context"
 	"fmt"
 	"math"
+	"strconv"
+	"sync"
 
 	"xeonomp/internal/config"
 	"xeonomp/internal/counters"
+	"xeonomp/internal/jsonfmt"
 	"xeonomp/internal/machine"
 	"xeonomp/internal/runcache"
 )
@@ -35,6 +38,75 @@ func CacheKey(w Workload, cfg config.Configuration, opt Options) runcache.Key {
 	}
 }
 
+// cellAddr is the content address of the cell one RunContext call
+// dispatches, carried in the context it hands the backend stack with
+// the inputs it is made for. The first tier that needs the address
+// computes it and every later tier of the process reuses it, so a cell
+// is hashed once per process however many tiers address it, and not at
+// all when none does.
+type cellAddr struct {
+	w    Workload
+	cfg  config.Configuration
+	opt  Options
+	once sync.Once
+	hash string
+	err  error
+}
+
+type cellAddrKey struct{}
+
+// withCellAddr returns ctx carrying the not yet computed address of the
+// cell (w, cfg, opt).
+func withCellAddr(ctx context.Context, w Workload, cfg config.Configuration, opt Options) context.Context {
+	return context.WithValue(ctx, cellAddrKey{}, &cellAddr{w: w, cfg: cfg, opt: opt})
+}
+
+// CellHash returns the content address of running w under cfg with opt:
+// CacheKey(w, cfg, opt).Hash(), which Dedupe, the cache tier and the
+// shard router all key on. When ctx carries the address RunContext
+// attached for this very cell, it is computed once and shared; a tier
+// handed any other cell — another workload, config, machine, seed or
+// other key field — hashes that cell afresh, so a backend that forwards
+// a different cell never reuses a wrong address.
+func CellHash(ctx context.Context, w Workload, cfg config.Configuration, opt Options) (string, error) {
+	if a, ok := ctx.Value(cellAddrKey{}).(*cellAddr); ok && a.matches(w, cfg, opt) {
+		a.once.Do(func() { a.hash, a.err = CacheKey(a.w, a.cfg, a.opt).Hash() })
+		return a.hash, a.err
+	}
+	return CacheKey(w, cfg, opt).Hash()
+}
+
+// matches reports whether a was made for the cell (w, cfg, opt). The
+// slices are compared by backing array, the way a cell travels through
+// the backend stack: results and their inputs are never written in
+// place, so a backend that forwards another cell builds new slices.
+// Floats are compared by bits, since -0 and 0 encode differently.
+func (a *cellAddr) matches(w Workload, cfg config.Configuration, opt Options) bool {
+	c := &a.cfg
+	o := &a.opt
+	return sameSlice(a.w.Programs, w.Programs) &&
+		c.Name == cfg.Name && c.Arch == cfg.Arch && c.HT == cfg.HT &&
+		c.Threads == cfg.Threads && c.Chips == cfg.Chips &&
+		sameSlice(c.Contexts, cfg.Contexts) && sameSlice(c.Labels, cfg.Labels) &&
+		o.Machine == opt.Machine && o.Policy == opt.Policy && o.Seed == opt.Seed &&
+		math.Float64bits(o.Scale) == math.Float64bits(opt.Scale) &&
+		math.Float64bits(o.WarmupFrac) == math.Float64bits(opt.WarmupFrac) &&
+		o.CycleLimit == opt.CycleLimit && o.SampleInterval == opt.SampleInterval
+}
+
+// sameSlice reports whether a and b are the same slice: equal length
+// over one backing array, or both empty with the same nil-ness, which
+// is all their encoding can tell apart.
+func sameSlice[T any](a, b []T) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	if len(a) == 0 {
+		return (a == nil) == (b == nil)
+	}
+	return &a[0] == &b[0]
+}
+
 // cellLabel renders the human-readable journal label for a cell.
 func cellLabel(w Workload, cfg config.Configuration, opt Options) string {
 	return fmt.Sprintf("%s|%s|seed=%d", w.Name(), cfg.Name, opt.Seed)
@@ -50,8 +122,8 @@ func cellLabel(w Workload, cfg config.Configuration, opt Options) string {
 // entries, schema drift — degrade to recomputation. The cached return
 // reports whether the cell was served rather than computed; RunContext
 // owns the progress and metric accounting built on it.
-func runThroughCache(w Workload, cfg config.Configuration, opt Options, compute func() (*RunResult, bool, error)) (*RunResult, bool, error) {
-	hash, err := CacheKey(w, cfg, opt).Hash()
+func runThroughCache(ctx context.Context, w Workload, cfg config.Configuration, opt Options, compute func() (*RunResult, bool, error)) (*RunResult, bool, error) {
+	hash, err := CellHash(ctx, w, cfg, opt)
 	if err != nil {
 		// An unhashable key cannot happen with plain-data inputs; if it
 		// does, fall back to the uncached path rather than failing the run.
@@ -85,316 +157,149 @@ func runThroughCache(w Workload, cfg config.Configuration, opt Options, compute 
 	return res, cached, nil
 }
 
-// cellProgram is the cache encoding of one ProgramResult. Metrics are
-// not stored: they are re-derived from the counters on decode, so a
-// cached result cannot disagree with what Derive produces today.
-type cellProgram struct {
-	Benchmark string        `json:"benchmark"`
-	Threads   int           `json:"threads"`
-	Cycles    int64         `json:"cycles"`
-	Counters  *counters.Set `json:"counters,omitempty"`
-}
-
-// cellSample is the cache encoding of one sampler window.
-type cellSample struct {
-	Start    int64         `json:"start"`
-	End      int64         `json:"end"`
-	Counters *counters.Set `json:"counters,omitempty"`
-}
-
-// cellResult is the full-fidelity cache encoding of a RunResult.
-// decodeRunResult reads its json.Marshal layout, config.Configuration's
-// included, field by field: changing either layout needs the decoder
-// changed alongside and a runSchemaVersion bump.
-type cellResult struct {
-	Schema     string               `json:"schema"`
-	Config     config.Configuration `json:"config"`
-	WallCycles int64                `json:"wall_cycles"`
-	Programs   []cellProgram        `json:"programs"`
-	Samples    []cellSample         `json:"samples,omitempty"`
-}
-
-// encodeRunResult serializes r for the run cache and journal.
+// encodeRunResult serializes r for the run cache and journal: the
+// bytes json.Marshal writes for the payload struct FuzzDecodeRunResult
+// keeps as the reference — schema, config, wall cycles, then each
+// program's benchmark, threads, cycles and non-zero counters (Metrics
+// are not stored: they are re-derived from the counters on decode, so a
+// cached result cannot disagree with what Derive produces today), then
+// the sampler windows when there are any. null stands for no programs,
+// and a program or window that counts nothing has no counters member.
+// These bytes are what every v1 cache and journal entry holds: writing
+// other bytes needs a runSchemaVersion bump. The error is always nil;
+// the signature is json.Marshal's, which the pinned-payload tests call.
 func encodeRunResult(r *RunResult) ([]byte, error) {
-	out := cellResult{
-		Schema:     runSchemaVersion,
-		Config:     r.Config,
-		WallCycles: r.WallCycles,
+	// The payload is built on the stack and copied out at its length:
+	// the run cache keeps it in memory, so spare capacity would stay
+	// resident with it.
+	var buf [4096]byte
+	b := buf[:0]
+	b = append(b, `{"schema":`...)
+	b = jsonfmt.AppendString(b, runSchemaVersion)
+	b = append(b, `,"config":`...)
+	b = r.Config.AppendJSON(b)
+	b = append(b, `,"wall_cycles":`...)
+	b = strconv.AppendInt(b, r.WallCycles, 10)
+	b = append(b, `,"programs":`...)
+	if len(r.Programs) == 0 {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i := range r.Programs {
+			p := &r.Programs[i]
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, `{"benchmark":`...)
+			b = jsonfmt.AppendString(b, p.Benchmark)
+			b = append(b, `,"threads":`...)
+			b = strconv.AppendInt(b, int64(p.Threads), 10)
+			b = append(b, `,"cycles":`...)
+			b = strconv.AppendInt(b, p.Cycles, 10)
+			b = appendCounters(b, &p.Counters)
+			b = append(b, '}')
+		}
+		b = append(b, ']')
 	}
-	for i := range r.Programs {
-		p := &r.Programs[i]
-		out.Programs = append(out.Programs, cellProgram{
-			Benchmark: p.Benchmark,
-			Threads:   p.Threads,
-			Cycles:    p.Cycles,
-			Counters:  p.Counters.OrNil(),
-		})
+	if len(r.Samples) > 0 {
+		b = append(b, `,"samples":[`...)
+		for i := range r.Samples {
+			s := &r.Samples[i]
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, `{"start":`...)
+			b = strconv.AppendInt(b, s.Start, 10)
+			b = append(b, `,"end":`...)
+			b = strconv.AppendInt(b, s.End, 10)
+			b = appendCounters(b, &s.Counters)
+			b = append(b, '}')
+		}
+		b = append(b, ']')
 	}
-	for i := range r.Samples {
-		s := &r.Samples[i]
-		out.Samples = append(out.Samples, cellSample{
-			Start:    s.Start,
-			End:      s.End,
-			Counters: s.Counters.OrNil(),
-		})
+	b = append(b, '}')
+	return append([]byte(nil), b...), nil
+}
+
+// appendCounters appends the counters member of a program or window:
+// nothing for an all-zero set.
+func appendCounters(b []byte, set *counters.Set) []byte {
+	if set.OrNil() == nil {
+		return b
 	}
-	return json.Marshal(out)
+	b = append(b, `,"counters":`...)
+	return set.AppendJSON(b)
 }
 
 // decodeRunResult rebuilds a RunResult from a cache or journal payload.
-// It scans the one layout encodeRunResult's json.Marshal writes, which
-// every v1 cache and journal entry holds: cellResult's and
-// config.Configuration's fields in declaration order, no whitespace,
-// counters and samples present only when non-empty, null for a nil
-// slice. Any other input — schema drift, unknown events, another layout,
-// malformed JSON — is an error; callers treat it as a miss and
-// recompute. Reading the same bytes another way needs no
-// runSchemaVersion bump; only writing other bytes would.
+// It scans the one layout encodeRunResult writes, which every v1 cache
+// and journal entry holds: the payload's and config.Configuration's
+// fields in declaration order, no whitespace, counters and samples
+// present only when non-empty, null for a nil slice. Any other input —
+// schema drift, unknown events, another layout, malformed JSON — is an
+// error; callers treat it as a miss and recompute. Reading the same
+// bytes another way needs no runSchemaVersion bump; only writing other
+// bytes would.
 func decodeRunResult(payload []byte) (*RunResult, error) {
-	p := payloadScanner{d: payload}
-	p.lit(`{"schema":`)
-	if schema := p.strBytes(); !p.bad && string(schema) != runSchemaVersion {
+	p := jsonfmt.NewScanner(payload)
+	p.Lit(`{"schema":`)
+	if schema := p.StrBytes(); !p.Failed() && string(schema) != runSchemaVersion {
 		return nil, fmt.Errorf("core: cached result schema %q, want %q", schema, runSchemaVersion)
 	}
-	p.lit(`,"config":`)
-	res := &RunResult{Config: p.config()}
-	p.lit(`,"wall_cycles":`)
-	res.WallCycles = p.int64()
-	p.lit(`,"programs":`)
-	if progs := list(&p, (*payloadScanner).program); len(progs) > 0 {
+	p.Lit(`,"config":`)
+	res := &RunResult{Config: config.ScanJSON(&p)}
+	p.Lit(`,"wall_cycles":`)
+	res.WallCycles = p.Int64()
+	p.Lit(`,"programs":`)
+	if progs := jsonfmt.List(&p, scanProgram); len(progs) > 0 {
 		res.Programs = progs
 	}
-	if p.opt(`,"samples":`) {
-		if samples := list(&p, (*payloadScanner).sample); len(samples) > 0 {
+	if p.Opt(`,"samples":`) {
+		if samples := jsonfmt.List(&p, scanSample); len(samples) > 0 {
 			res.Samples = samples
 		}
 	}
-	p.lit("}")
-	if p.bad || len(p.d) != 0 {
-		return nil, fmt.Errorf("core: cached result is not a run-cache payload (at byte %d)", len(payload)-len(p.d))
+	p.Lit("}")
+	if p.Failed() || len(p.Unread()) != 0 {
+		return nil, fmt.Errorf("core: cached result is not a run-cache payload (at byte %d)", len(payload)-len(p.Unread()))
 	}
 	return res, nil
 }
 
-// payloadScanner reads a payload in encodeRunResult's layout. The first
-// mismatch sets bad and leaves d at it; every later call then does
-// nothing, so a decode reads as the layout and checks bad once.
-type payloadScanner struct {
-	d   []byte
-	bad bool
-}
-
-// opt consumes l if the input continues with it and reports whether it
-// did.
-func (p *payloadScanner) opt(l string) bool {
-	if p.bad || len(p.d) < len(l) || string(p.d[:len(l)]) != l {
-		return false
-	}
-	p.d = p.d[len(l):]
-	return true
-}
-
-// lit consumes l, which the layout requires here.
-func (p *payloadScanner) lit(l string) {
-	if !p.opt(l) {
-		p.bad = true
-	}
-}
-
-// strBytes consumes a JSON string and returns its value: in place when
-// the string is printable ASCII without escapes, as json.Marshal writes
-// every name the simulator uses, and unescaped by encoding/json, for
-// that string alone, otherwise.
-func (p *payloadScanner) strBytes() []byte {
-	if p.bad || len(p.d) == 0 || p.d[0] != '"' {
-		p.bad = true
-		return nil
-	}
-	plain := true
-	for i := 1; i < len(p.d); i++ {
-		switch c := p.d[i]; {
-		case c == '"':
-			tok := p.d[:i+1]
-			p.d = p.d[i+1:]
-			if plain {
-				return tok[1:i]
-			}
-			var s string
-			if json.Unmarshal(tok, &s) != nil {
-				p.bad = true
-				return nil
-			}
-			return []byte(s)
-		case c == '\\':
-			plain = false
-			i++
-		case c < 0x20:
-			p.bad = true
-			return nil
-		case c >= 0x80:
-			plain = false
-		}
-	}
-	p.bad = true
-	return nil
-}
-
-func (p *payloadScanner) str() string { return string(p.strBytes()) }
-
-// bool consumes a JSON boolean.
-func (p *payloadScanner) bool() bool {
-	if p.opt("true") {
-		return true
-	}
-	p.lit("false")
-	return false
-}
-
-// int64 consumes a JSON integer in int64 range: -?(0|[1-9][0-9]*), what
-// encoding/json accepts for an int64 field.
-func (p *payloadScanner) int64() int64 {
-	if p.bad {
-		return 0
-	}
-	d := p.d
-	neg := len(d) > 0 && d[0] == '-'
-	if neg {
-		d = d[1:]
-	}
-	if len(d) == 0 || d[0] < '0' || d[0] > '9' {
-		p.bad = true
-		return 0
-	}
-	var u uint64
-	i := 1
-	if u = uint64(d[0] - '0'); u != 0 {
-		for ; i < len(d) && '0' <= d[i] && d[i] <= '9'; i++ {
-			if u > (math.MaxUint64-9)/10 {
-				p.bad = true
-				return 0
-			}
-			u = u*10 + uint64(d[i]-'0')
-		}
-	}
-	limit := uint64(math.MaxInt64)
-	if neg {
-		limit++
-	}
-	if u > limit {
-		p.bad = true
-		return 0
-	}
-	p.d = d[i:]
-	if neg {
-		return -int64(u)
-	}
-	return int64(u)
-}
-
-// int consumes a JSON integer in int range.
-func (p *payloadScanner) int() int {
-	v := p.int64()
-	if int64(int(v)) != v {
-		p.bad = true
-	}
-	return int(v)
-}
-
-// list consumes a JSON array of elements read by elem, or null. As in
-// encoding/json, null gives a nil slice and [] an empty one. The
-// elements are gathered on the stack and copied out once.
-func list[T any](p *payloadScanner, elem func(*payloadScanner) T) []T {
-	if p.opt("null") {
-		return nil
-	}
-	p.lit("[")
-	if p.bad {
-		return nil
-	}
-	var buf [8]T
-	out := buf[:0]
-	if !p.opt("]") {
-		for {
-			out = append(out, elem(p))
-			if !p.opt(",") {
-				break
-			}
-		}
-		p.lit("]")
-	}
-	return append(make([]T, 0, len(out)), out...)
-}
-
-func (p *payloadScanner) config() config.Configuration {
-	var c config.Configuration
-	p.lit(`{"Name":`)
-	c.Name = p.str()
-	p.lit(`,"Arch":`)
-	c.Arch = config.Arch(p.str())
-	p.lit(`,"HT":`)
-	c.HT = p.bool()
-	p.lit(`,"Threads":`)
-	c.Threads = p.int()
-	p.lit(`,"Chips":`)
-	c.Chips = p.int()
-	p.lit(`,"Contexts":`)
-	c.Contexts = list(p, (*payloadScanner).ctxID)
-	p.lit(`,"Labels":`)
-	c.Labels = list(p, (*payloadScanner).str)
-	p.lit("}")
-	return c
-}
-
-func (p *payloadScanner) ctxID() config.CtxID {
-	var id config.CtxID
-	p.lit(`{"Chip":`)
-	id.Chip = p.int()
-	p.lit(`,"Core":`)
-	id.Core = p.int()
-	p.lit(`,"Thread":`)
-	id.Thread = p.int()
-	p.lit("}")
-	return id
-}
-
-// program reads one cellProgram. Metrics are re-derived from the
-// counters, so a cached result cannot disagree with Derive.
-func (p *payloadScanner) program() ProgramResult {
+// scanProgram reads one program of the payload. Metrics are re-derived
+// from the counters, so a cached result cannot disagree with Derive.
+func scanProgram(p *jsonfmt.Scanner) ProgramResult {
 	var r ProgramResult
-	p.lit(`{"benchmark":`)
-	r.Benchmark = p.str()
-	p.lit(`,"threads":`)
-	r.Threads = p.int()
-	p.lit(`,"cycles":`)
-	r.Cycles = p.int64()
-	r.Counters = p.counters()
-	p.lit("}")
+	p.Lit(`{"benchmark":`)
+	r.Benchmark = p.Str()
+	p.Lit(`,"threads":`)
+	r.Threads = p.Int()
+	p.Lit(`,"cycles":`)
+	r.Cycles = p.Int64()
+	r.Counters = scanCounters(p)
+	p.Lit("}")
 	r.Metrics = counters.Derive(&r.Counters)
 	return r
 }
 
-func (p *payloadScanner) sample() machine.Sample {
+func scanSample(p *jsonfmt.Scanner) machine.Sample {
 	var s machine.Sample
-	p.lit(`{"start":`)
-	s.Start = p.int64()
-	p.lit(`,"end":`)
-	s.End = p.int64()
-	s.Counters = p.counters()
-	p.lit("}")
+	p.Lit(`{"start":`)
+	s.Start = p.Int64()
+	p.Lit(`,"end":`)
+	s.End = p.Int64()
+	s.Counters = scanCounters(p)
+	p.Lit("}")
 	return s
 }
 
-// counters consumes an optional "counters" member through the counter
-// codec's scanner; an omitted one stands for the all-zero set.
-func (p *payloadScanner) counters() counters.Set {
-	if !p.opt(`,"counters":`) {
+// scanCounters consumes an optional "counters" member through the
+// counter codec's scanner; an omitted one stands for the all-zero set.
+func scanCounters(p *jsonfmt.Scanner) counters.Set {
+	if !p.Opt(`,"counters":`) {
 		return counters.Set{}
 	}
-	set, rest, err := counters.CutSet(p.d)
-	if err != nil {
-		p.bad = true
-		return counters.Set{}
-	}
-	p.d = rest
+	set, rest, err := counters.CutSet(p.Unread())
+	p.Resume(rest, err)
 	return set
 }

@@ -241,6 +241,60 @@ func BenchmarkDecodeRunResult(b *testing.B) {
 	}
 }
 
+// cellProgram, cellSample and cellResult are the payload layout as Go
+// structs: json.Marshal of a cellResult is what every v1 cache and
+// journal entry holds. They are the reference encodeRunResult and
+// decodeRunResult are held to.
+type cellProgram struct {
+	Benchmark string        `json:"benchmark"`
+	Threads   int           `json:"threads"`
+	Cycles    int64         `json:"cycles"`
+	Counters  *counters.Set `json:"counters,omitempty"`
+}
+
+type cellSample struct {
+	Start    int64         `json:"start"`
+	End      int64         `json:"end"`
+	Counters *counters.Set `json:"counters,omitempty"`
+}
+
+type cellResult struct {
+	Schema     string               `json:"schema"`
+	Config     config.Configuration `json:"config"`
+	WallCycles int64                `json:"wall_cycles"`
+	Programs   []cellProgram        `json:"programs"`
+	Samples    []cellSample         `json:"samples,omitempty"`
+}
+
+// jsonEncode is the encoder encodeRunResult replaced, kept as the
+// reference it is held to: r converted to a cellResult, then
+// json.Marshal.
+func jsonEncode(r *RunResult) ([]byte, error) {
+	out := cellResult{
+		Schema:     runSchemaVersion,
+		Config:     r.Config,
+		WallCycles: r.WallCycles,
+	}
+	for i := range r.Programs {
+		p := &r.Programs[i]
+		out.Programs = append(out.Programs, cellProgram{
+			Benchmark: p.Benchmark,
+			Threads:   p.Threads,
+			Cycles:    p.Cycles,
+			Counters:  p.Counters.OrNil(),
+		})
+	}
+	for i := range r.Samples {
+		s := &r.Samples[i]
+		out.Samples = append(out.Samples, cellSample{
+			Start:    s.Start,
+			End:      s.End,
+			Counters: s.Counters.OrNil(),
+		})
+	}
+	return json.Marshal(out)
+}
+
 // jsonDecode is the decoder decodeRunResult replaced, kept as the
 // reference it is held to: encoding/json into cellResult, then the same
 // conversion to a RunResult.
@@ -277,8 +331,9 @@ func jsonDecode(payload []byte) (cellResult, *RunResult, error) {
 // and journal hit goes through. It must never panic; whatever it accepts,
 // the encoding/json reference must accept with the same result; whatever
 // cellResult the reference reads must, written back by json.Marshal, be
-// accepted; and an accepted result must re-encode to bytes that decode to
-// the same result.
+// accepted; an accepted result must re-encode to bytes that decode to
+// the same result; and encodeRunResult must write json.Marshal's bytes
+// for every result either decoder reads.
 func FuzzDecodeRunResult(f *testing.F) {
 	cg, err := profiles.ByName("CG")
 	if err != nil {
@@ -344,6 +399,7 @@ func FuzzDecodeRunResult(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in, want, refErr := jsonDecode(data)
 		if refErr == nil {
+			checkEncodeMatchesJSON(t, want)
 			// Any cellResult json.Marshal writes is in the layout.
 			again, err := json.Marshal(in)
 			if err != nil {
@@ -367,6 +423,7 @@ func FuzzDecodeRunResult(f *testing.F) {
 		if !reflect.DeepEqual(res, want) {
 			t.Fatalf("decoder and reference differ:\n%+v\n%+v", res, want)
 		}
+		checkEncodeMatchesJSON(t, res)
 		again, err := encodeRunResult(res)
 		if err != nil {
 			t.Fatalf("decoded result does not re-encode: %v", err)
@@ -379,6 +436,44 @@ func FuzzDecodeRunResult(f *testing.F) {
 			t.Fatalf("decode, encode, decode changed the result:\n%+v\n%+v", res, back)
 		}
 	})
+}
+
+// checkEncodeMatchesJSON fails t unless encodeRunResult writes the
+// reference encoder's bytes for r.
+func checkEncodeMatchesJSON(t *testing.T, r *RunResult) {
+	t.Helper()
+	want, err := jsonEncode(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := encodeRunResult(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("encodeRunResult differs from json.Marshal:\n got %s\nwant %s", got, want)
+	}
+}
+
+// BenchmarkEncodeRunResult times the payload write every computed cell
+// (and every cell a sharding frontend receives) goes through before its
+// cache Put and journal append, on each pinned payload.
+func BenchmarkEncodeRunResult(b *testing.B) {
+	for _, p := range pinnedPayloads {
+		res, err := decodeRunResult([]byte(p.payload))
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(p.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(p.payload)))
+			for i := 0; i < b.N; i++ {
+				if _, err := encodeRunResult(res); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // TestCorruptCacheEntryRecomputed pins that a damaged disk entry is

@@ -186,7 +186,9 @@ func Run(w Workload, cfg config.Configuration, opt Options) (*RunResult, error) 
 // simulation work) and the observability plumbing: the cell records a
 // trace span (named "cell", tagged benchmark/config/cached) under the span
 // already in ctx, and the simulation runs under pprof labels so CPU
-// profiles attribute samples to the cell.
+// profiles attribute samples to the cell. The context handed to the
+// backend also carries the cell's content address, computed by the first
+// tier that needs it and shared by the rest (see CellHash).
 func RunContext(ctx context.Context, w Workload, cfg config.Configuration, opt Options) (*RunResult, error) {
 	if err := opt.validate(); err != nil {
 		return nil, err
@@ -200,6 +202,7 @@ func RunContext(ctx context.Context, w Workload, cfg config.Configuration, opt O
 	}
 	ctx, sp := obs.StartSpan(ctx, "cell", "benchmark", w.Name(), "config", cfg.Name)
 	defer sp.End()
+	ctx = withCellAddr(ctx, w, cfg, opt)
 	t := obs.StartTimer()
 	var (
 		res    *RunResult

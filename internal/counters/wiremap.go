@@ -2,13 +2,14 @@ package counters
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"slices"
 	"strconv"
 	"strings"
+
+	"xeonomp/internal/jsonfmt"
 )
 
 // A Set's JSON form is a flat object of its non-zero events by name —
@@ -43,22 +44,28 @@ var sortedEvents = func() []Event {
 // event name in sorted order; an all-zero set writes {}. The value
 // receiver makes a Set encode the same whether or not it is addressable.
 func (s Set) MarshalJSON() ([]byte, error) {
-	b := make([]byte, 0, 32*NumEvents)
+	return s.AppendJSON(make([]byte, 0, 32*NumEvents)), nil
+}
+
+// AppendJSON appends MarshalJSON's bytes to b.
+func (s *Set) AppendJSON(b []byte) []byte {
 	b = append(b, '{')
+	first := true
 	for _, e := range sortedEvents {
 		v := s.c[e]
 		if v == 0 {
 			continue
 		}
-		if len(b) > 1 {
+		if !first {
 			b = append(b, ',')
 		}
+		first = false
 		b = append(b, '"')
 		b = append(b, eventNames[e]...)
 		b = append(b, '"', ':')
 		b = strconv.AppendUint(b, v, 10)
 	}
-	return append(b, '}'), nil
+	return append(b, '}')
 }
 
 // UnmarshalJSON replaces s with the counts of a flat object, under the
@@ -159,29 +166,11 @@ func skipSpace(d []byte) []byte {
 // escapes is returned in place; an escaped one is unescaped by
 // encoding/json, as a map key would be.
 func cutName(d []byte) ([]byte, []byte, error) {
-	if len(d) == 0 || d[0] != '"' {
+	name, rest, ok := jsonfmt.CutString(d)
+	if !ok {
 		return nil, d, errSyntax
 	}
-	escaped := false
-	for i := 1; i < len(d); i++ {
-		switch c := d[i]; {
-		case c == '"':
-			if !escaped {
-				return d[1:i], d[i+1:], nil
-			}
-			var name string
-			if err := json.Unmarshal(d[:i+1], &name); err != nil {
-				return nil, d, errSyntax
-			}
-			return []byte(name), d[i+1:], nil
-		case c == '\\':
-			escaped = true
-			i++
-		case c < 0x20:
-			return nil, d, errSyntax
-		}
-	}
-	return nil, d, errSyntax
+	return name, rest, nil
 }
 
 // cutCount parses the count at the head of d: null (zero) or a JSON

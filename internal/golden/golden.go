@@ -21,6 +21,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"xeonomp/internal/jsonfmt"
 )
 
 // SchemaVersion is bumped whenever the artifact shape changes
@@ -175,13 +177,13 @@ func (a *Artifact) MarshalCanonical() ([]byte, error) {
 	}
 	b := make([]byte, 0, n)
 	b = append(b, "{\n  \"name\": "...)
-	b = appendString(b, a.Name)
+	b = jsonfmt.AppendString(b, a.Name)
 	b = append(b, ",\n  \"schema\": "...)
 	b = strconv.AppendInt(b, int64(a.Schema), 10)
 	var err error
 	if a.Scale != 0 {
 		b = append(b, ",\n  \"scale\": "...)
-		if b, err = appendFloat(b, a.Scale); err != nil {
+		if b, err = jsonfmt.AppendFloat(b, a.Scale); err != nil {
 			return nil, err
 		}
 	}
@@ -191,7 +193,7 @@ func (a *Artifact) MarshalCanonical() ([]byte, error) {
 	}
 	if a.Note != "" {
 		b = append(b, ",\n  \"note\": "...)
-		b = appendString(b, a.Note)
+		b = jsonfmt.AppendString(b, a.Note)
 	}
 	b = append(b, ",\n  \"default_tolerance\": "...)
 	if b, err = appendTolerance(b, a.DefaultTol, "\n  "); err != nil {
@@ -211,14 +213,14 @@ func (a *Artifact) MarshalCanonical() ([]byte, error) {
 				b = append(b, ',')
 			}
 			b = append(b, "\n    {\n      \"id\": "...)
-			b = appendString(b, m.ID)
+			b = jsonfmt.AppendString(b, m.ID)
 			b = append(b, ",\n      \"value\": "...)
-			if b, err = appendFloat(b, m.Value); err != nil {
+			if b, err = jsonfmt.AppendFloat(b, m.Value); err != nil {
 				return nil, err
 			}
 			if m.Unit != "" {
 				b = append(b, ",\n      \"unit\": "...)
-				b = appendString(b, m.Unit)
+				b = jsonfmt.AppendString(b, m.Unit)
 			}
 			if m.Tol != nil {
 				b = append(b, ",\n      \"tol\": "...)
@@ -244,7 +246,7 @@ func appendTolerance(b []byte, t Tolerance, nl string) ([]byte, error) {
 	b = append(b, '{')
 	if t.Abs != 0 {
 		b = append(append(b, nl...), `  "abs": `...)
-		if b, err = appendFloat(b, t.Abs); err != nil {
+		if b, err = jsonfmt.AppendFloat(b, t.Abs); err != nil {
 			return nil, err
 		}
 		if t.Rel != 0 {
@@ -253,59 +255,11 @@ func appendTolerance(b []byte, t Tolerance, nl string) ([]byte, error) {
 	}
 	if t.Rel != 0 {
 		b = append(append(b, nl...), `  "rel": `...)
-		if b, err = appendFloat(b, t.Rel); err != nil {
+		if b, err = jsonfmt.AppendFloat(b, t.Rel); err != nil {
 			return nil, err
 		}
 	}
 	return append(append(b, nl...), '}'), nil
-}
-
-// appendFloat appends f as encoding/json writes a float64: the shortest
-// decimal that reads back as f, in exponent form only below 1e-6 or from
-// 1e21 up, with a one-digit negative exponent unpadded (1e-7, not
-// 1e-07). NaN and ±Inf have no JSON form; they fail with the error
-// json.Marshal gives them.
-func appendFloat(b []byte, f float64) ([]byte, error) {
-	if math.IsNaN(f) || math.IsInf(f, 0) {
-		_, err := json.Marshal(f)
-		return nil, err
-	}
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-		b[n-2] = b[n-1]
-		b = b[:n-1]
-	}
-	return b, nil
-}
-
-// needsEscape marks the bytes encoding/json does not copy into a string
-// as they are: control characters, the quote, the backslash, the HTML
-// characters <, > and &, and every byte from 0x80 up, which it checks
-// as UTF-8.
-var needsEscape = func() (t [256]bool) {
-	for c := range t {
-		t[c] = c < 0x20 || c >= 0x80 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&'
-	}
-	return t
-}()
-
-// appendString appends s as a JSON string: quoted as is when no byte of
-// it needs an escape, encoded by json.Marshal, for that string alone,
-// otherwise.
-func appendString(b []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if needsEscape[s[i]] {
-			q, _ := json.Marshal(s) // a string always encodes
-			return append(b, q...)
-		}
-	}
-	b = append(b, '"')
-	b = append(b, s...)
-	return append(b, '"')
 }
 
 // Filename returns the file name an artifact is stored under in a golden

@@ -9,12 +9,16 @@ package obs
 const (
 	// Run-cache traffic (internal/runcache) — mirrors runcache.Stats so
 	// cached CLI reruns can assert hit rates from -metrics-out alone.
+	// key_hashes counts cell content addresses computed (Key.Hash); a
+	// process hashes each cell it addresses once, however many tiers
+	// key on it.
 	MetricRuncacheMemHits    = "runcache.mem_hits"
 	MetricRuncacheDiskHits   = "runcache.disk_hits"
 	MetricRuncacheMisses     = "runcache.misses"
 	MetricRuncacheEvictions  = "runcache.evictions"
 	MetricRuncacheDiskErrors = "runcache.disk_errors"
 	MetricRuncacheLookupNs   = "runcache.lookup_ns"
+	MetricRuncacheKeyHashes  = "runcache.key_hashes"
 
 	// Run-journal activity (internal/journal).
 	MetricJournalAppends      = "journal.appends"

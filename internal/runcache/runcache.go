@@ -29,9 +29,11 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"sync"
 
 	"xeonomp/internal/config"
+	"xeonomp/internal/jsonfmt"
 	"xeonomp/internal/machine"
 	"xeonomp/internal/obs"
 	"xeonomp/internal/profiles"
@@ -49,6 +51,7 @@ var (
 	obsEvictions  = obs.NewCounter(obs.MetricRuncacheEvictions)
 	obsDiskErrors = obs.NewCounter(obs.MetricRuncacheDiskErrors)
 	obsLookupNs   = obs.NewHistogram(obs.MetricRuncacheLookupNs)
+	obsKeyHashes  = obs.NewCounter(obs.MetricRuncacheKeyHashes)
 )
 
 // Key is the complete plain-data identity of one simulation cell. Two runs
@@ -82,58 +85,32 @@ type Key struct {
 // Hash returns the cell's content address: the hex SHA-256 of the Key's
 // canonical JSON encoding, json.Marshal(k). Existing disk caches and
 // journals are addressed by these bytes, so they must never change
-// without a schema bump.
+// without a schema bump. The encoding is built in a stack buffer, so a
+// call allocates only the returned string.
 func (k Key) Hash() (string, error) {
-	b, err := k.appendJSON(make([]byte, 0, 4096))
+	var buf [4096]byte
+	b, err := k.appendJSON(buf[:0])
 	if err != nil {
 		return "", fmt.Errorf("runcache: hashing key: %w", err)
 	}
+	obsKeyHashes.Inc()
 	sum := sha256.Sum256(b)
 	var h [2 * sha256.Size]byte
 	hex.Encode(h[:], sum[:])
 	return string(h[:]), nil
 }
 
-// keyTail holds the fields of Key that follow Workload, with the same
-// names and types in the same order, so its encoding less the opening
-// brace is the tail of Key's.
-type keyTail struct {
-	Config         config.Configuration
-	Policy         sched.Policy
-	Seed           uint64
-	Scale          float64
-	WarmupFrac     float64
-	CycleLimit     int64
-	SampleInterval int64
-}
-
 // appendJSON appends json.Marshal(k) to b. The machine and the profiles
 // make up most of those bytes and repeat across every cell of a study,
-// so their encodings come from process-wide memos and are spliced
-// between the encodings of the other fields.
+// so their encodings come from process-wide memos; the other fields are
+// written directly, in declaration order under their Go names.
 func (k Key) appendJSON(b []byte) ([]byte, error) {
-	schema, err := json.Marshal(k.Schema)
-	if err != nil {
-		return nil, err
-	}
 	m, err := machineJSON.encode(k.Machine)
 	if err != nil {
 		return nil, err
 	}
-	tail, err := json.Marshal(keyTail{
-		Config:         k.Config,
-		Policy:         k.Policy,
-		Seed:           k.Seed,
-		Scale:          k.Scale,
-		WarmupFrac:     k.WarmupFrac,
-		CycleLimit:     k.CycleLimit,
-		SampleInterval: k.SampleInterval,
-	})
-	if err != nil {
-		return nil, err
-	}
 	b = append(b, `{"Schema":`...)
-	b = append(b, schema...)
+	b = jsonfmt.AppendString(b, k.Schema)
 	b = append(b, `,"Machine":`...)
 	b = append(b, m...)
 	b = append(b, `,"Workload":`...)
@@ -153,8 +130,25 @@ func (k Key) appendJSON(b []byte) ([]byte, error) {
 		}
 		b = append(b, ']')
 	}
-	b = append(b, ',')
-	return append(b, tail[1:]...), nil
+	b = append(b, `,"Config":`...)
+	b = k.Config.AppendJSON(b)
+	b = append(b, `,"Policy":`...)
+	b = strconv.AppendInt(b, int64(k.Policy), 10)
+	b = append(b, `,"Seed":`...)
+	b = strconv.AppendUint(b, k.Seed, 10)
+	b = append(b, `,"Scale":`...)
+	if b, err = jsonfmt.AppendFloat(b, k.Scale); err != nil {
+		return nil, err
+	}
+	b = append(b, `,"WarmupFrac":`...)
+	if b, err = jsonfmt.AppendFloat(b, k.WarmupFrac); err != nil {
+		return nil, err
+	}
+	b = append(b, `,"CycleLimit":`...)
+	b = strconv.AppendInt(b, k.CycleLimit, 10)
+	b = append(b, `,"SampleInterval":`...)
+	b = strconv.AppendInt(b, k.SampleInterval, 10)
+	return append(b, '}'), nil
 }
 
 // memoCap bounds each encoding memo. A process sees a handful of

@@ -307,7 +307,23 @@ func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, api.CodeInternal, "%v", err)
 		return
 	}
-	resp := api.CellResponse{WallCycles: res.WallCycles, Cached: capture.cached}
+	resp := cellResponse(res, capture.cached)
+	body, err := resp.AppendJSON(nil)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, api.CodeInternal, "encoding cell response: %v", err)
+		return
+	}
+	// The bytes writeJSON's json.Encoder would write, newline included.
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	// A failed write means the client is gone; there is nobody left to
+	// report it to.
+	_, _ = w.Write(append(body, '\n'))
+}
+
+// cellResponse is the cell endpoint's view of res.
+func cellResponse(res *core.RunResult, cached bool) api.CellResponse {
+	resp := api.CellResponse{WallCycles: res.WallCycles, Cached: cached}
 	for i := range res.Programs {
 		p := &res.Programs[i]
 		resp.Programs = append(resp.Programs, api.CellProgram{
@@ -321,7 +337,7 @@ func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 			Metrics:  p.Metrics,
 		})
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return resp
 }
 
 // handleStudySubmit admits, registers, and starts one study job,

@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"sync"
@@ -476,4 +478,69 @@ func TestStudyList(t *testing.T) {
 	if len(list) != 2 || list[0].ID != first.ID || list[1].ID != second.ID {
 		t.Fatalf("list %+v, want [%s %s] in submission order", list, first.ID, second.ID)
 	}
+}
+
+// TestCellResponseBytesMatchEncoder pins the cell endpoint's direct
+// response writer to the json.Encoder it replaced: for every cell of the
+// single, pair and cross studies at scale 0.01 (the single study alone
+// under -short), the 200 body is byte-identical to
+// json.NewEncoder(w).Encode of the response built from the same result.
+func TestCellResponseBytesMatchEncoder(t *testing.T) {
+	studies := core.StudyNames()
+	if testing.Short() {
+		studies = []string{"single"}
+	}
+	const scale = 0.01
+	s, c := newTestServer(t, Config{Cache: newMemCache(t)})
+	opt, err := s.buildOptions(scale, 1, "", core.Local(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	n := 0
+	for _, name := range studies {
+		study, err := core.NewStudy(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cells, err := study.Cells()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cell := range cells {
+			// The local run fills the server's cache, so the endpoint
+			// serves the same result and reports it cached.
+			res, err := core.RunContext(ctx, cell.Workload, cell.Config, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want bytes.Buffer
+			if err := json.NewEncoder(&want).Encode(cellResponse(res, true)); err != nil {
+				t.Fatal(err)
+			}
+			req := api.CellRequest{Config: cell.Config.Name, Scale: scale}
+			for _, p := range cell.Workload.Programs {
+				req.Benchmarks = append(req.Benchmarks, p.Name)
+			}
+			reqBody, err := json.Marshal(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.Post(c.Base()+"/api/v1/cell", "application/json", bytes.NewReader(reqBody))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := io.ReadAll(resp.Body)
+			// Fully read; close cannot add information.
+			_ = resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusOK || !bytes.Equal(got, want.Bytes()) {
+				t.Fatalf("%s %s|%s: status %d, body\n%s\nwant json.Encoder's\n%s", name, cell.Workload.Name(), cell.Config.Name, resp.StatusCode, got, want.Bytes())
+			}
+			n++
+		}
+	}
+	t.Logf("%d cell responses byte-identical to json.Encoder's", n)
 }

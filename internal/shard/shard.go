@@ -106,10 +106,10 @@ func New(remotes []*Remote, opts ...Option) (*Shard, error) {
 func (s *Shard) Workers() int { return len(s.workers) }
 
 // home returns the cell's affinity shard: its runcache content address
-// reduced mod N. An unhashable key (impossible with plain-data inputs)
-// degrades to shard 0.
-func (s *Shard) home(w core.Workload, cfg config.Configuration, opt core.Options) int {
-	hash, err := core.CacheKey(w, cfg, opt).Hash()
+// (core.CellHash, shared with the tiers above) reduced mod N. An
+// unhashable key (impossible with plain-data inputs) degrades to shard 0.
+func (s *Shard) home(ctx context.Context, w core.Workload, cfg config.Configuration, opt core.Options) int {
+	hash, err := core.CellHash(ctx, w, cfg, opt)
 	if err != nil || len(hash) < 8 {
 		return 0
 	}
@@ -126,7 +126,7 @@ func (s *Shard) home(w core.Workload, cfg config.Configuration, opt core.Options
 // mid-simulation is always safe.
 func (s *Shard) RunCell(ctx context.Context, w core.Workload, cfg config.Configuration, opt core.Options) (*core.RunResult, bool, error) {
 	n := len(s.workers)
-	home := s.home(w, cfg, opt)
+	home := s.home(ctx, w, cfg, opt)
 
 	// Candidates in affinity/ring order, skipping down workers unless
 	// their probe is due; if that skips everyone, probe the full ring —

@@ -18,6 +18,7 @@ import (
 	"xeonomp/internal/core"
 	"xeonomp/internal/obs"
 	"xeonomp/internal/profiles"
+	"xeonomp/internal/runcache"
 	"xeonomp/internal/server"
 	"xeonomp/internal/shard"
 )
@@ -272,6 +273,55 @@ func TestShardGoldenScale(t *testing.T) {
 		}
 		if !bytes.Equal(got[name], want) {
 			t.Errorf("artifact %s from the sharded run differs from testdata/golden", name)
+		}
+	}
+}
+
+// TestFleetHashesEachCellOncePerProcess pins hash-once addressing on
+// the sharded path: a study submitted to an in-process frontend over one
+// worker hashes each cell twice cold — once on the frontend, where
+// Dedupe, the cache tier and the shard router share the address, and
+// once on the worker — and once warm, when the frontend's cache serves
+// every cell without a hop.
+func TestFleetHashesEachCellOncePerProcess(t *testing.T) {
+	_, remote := newWorker(t, 0)
+	sh, err := shard.New([]*shard.Remote{remote})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache, err := runcache.New(0, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := server.New(server.Config{Backend: core.Cached(sh), Cache: cache, Workers: 2})
+	ts := httptest.NewServer(front.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		if err := front.Close(); err != nil {
+			t.Errorf("closing frontend: %v", err)
+		}
+	})
+	client := api.NewClient(ts.URL)
+	hashes := obs.NewCounter(obs.MetricRuncacheKeyHashes)
+	ctx := context.Background()
+	for _, pass := range []struct {
+		name    string
+		perCell uint64
+	}{{"cold", 2}, {"warm", 1}} {
+		before := hashes.Value()
+		st, err := client.SubmitStudy(ctx, api.StudyRequest{Study: "single", Scale: 0.01})
+		if err != nil {
+			t.Fatal(err)
+		}
+		end, err := client.Follow(ctx, st.ID, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if end.State != api.StateDone {
+			t.Fatalf("%s pass: study ended %s: %s", pass.name, end.State, end.Error)
+		}
+		if got, want := hashes.Value()-before, pass.perCell*uint64(st.Cells); got != want {
+			t.Errorf("%s pass: %d key hashes for %d cells, want %d per cell", pass.name, got, st.Cells, pass.perCell)
 		}
 	}
 }

@@ -20,7 +20,25 @@ cd "$(dirname "$0")/.."
 
 GOLDEN_DIR=testdata/golden
 GOLDEN_SCALE=${GOLDEN_SCALE:-0.1}
-SMOKE_DIR=${SMOKE_DIR:-$(mktemp -d)}
+# A caller-given SMOKE_DIR holds the outputs the caller asked for (the
+# CI job uploads from it) and is kept; a directory made here is scratch
+# and is removed on exit.
+OWN_SMOKE_DIR=0
+if [ -z "${SMOKE_DIR:-}" ]; then
+    SMOKE_DIR=$(mktemp -d)
+    OWN_SMOKE_DIR=1
+fi
+XEOND_PID=
+cleanup() {
+    if [ -n "$XEOND_PID" ]; then
+        kill "$XEOND_PID" 2>/dev/null || true
+        wait "$XEOND_PID" 2>/dev/null || true
+    fi
+    if [ "$OWN_SMOKE_DIR" -eq 1 ]; then
+        rm -rf "$SMOKE_DIR"
+    fi
+}
+trap cleanup EXIT
 mkdir -p "$SMOKE_DIR/journals"
 
 say() { echo "server-smoke: $*"; }
@@ -33,11 +51,6 @@ go build -o "$SMOKE_DIR/xeonctl" ./cmd/xeonctl
 "$SMOKE_DIR/xeond" -addr 127.0.0.1:0 -addr-file "$SMOKE_DIR/addr" \
     -journal-dir "$SMOKE_DIR/journals" >"$SMOKE_DIR/xeond.log" 2>&1 &
 XEOND_PID=$!
-cleanup() {
-    kill "$XEOND_PID" 2>/dev/null || true
-    wait "$XEOND_PID" 2>/dev/null || true
-}
-trap cleanup EXIT
 
 for _ in $(seq 1 100); do
     [ -s "$SMOKE_DIR/addr" ] && break

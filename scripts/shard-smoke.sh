@@ -24,16 +24,14 @@ cd "$(dirname "$0")/.."
 
 GOLDEN_DIR=testdata/golden
 GOLDEN_SCALE=${GOLDEN_SCALE:-0.1}
-SMOKE_DIR=${SMOKE_DIR:-$(mktemp -d)}
-mkdir -p "$SMOKE_DIR/journals1" "$SMOKE_DIR/journals2"
-
-say() { echo "shard-smoke: $*"; }
-fail() { say "FAIL: $*"; exit 1; }
-
-say "building xeond and xeonctl into $SMOKE_DIR"
-go build -o "$SMOKE_DIR/xeond" ./cmd/xeond
-go build -o "$SMOKE_DIR/xeonctl" ./cmd/xeonctl
-
+# A caller-given SMOKE_DIR holds the outputs the caller asked for (the
+# CI job uploads from it) and is kept; a directory made here is scratch
+# and is removed on exit.
+OWN_SMOKE_DIR=0
+if [ -z "${SMOKE_DIR:-}" ]; then
+    SMOKE_DIR=$(mktemp -d)
+    OWN_SMOKE_DIR=1
+fi
 PIDS=()
 cleanup() {
     for pid in "${PIDS[@]}"; do
@@ -42,8 +40,19 @@ cleanup() {
     for pid in "${PIDS[@]}"; do
         wait "$pid" 2>/dev/null || true
     done
+    if [ "$OWN_SMOKE_DIR" -eq 1 ]; then
+        rm -rf "$SMOKE_DIR"
+    fi
 }
 trap cleanup EXIT
+mkdir -p "$SMOKE_DIR/journals1" "$SMOKE_DIR/journals2"
+
+say() { echo "shard-smoke: $*"; }
+fail() { say "FAIL: $*"; exit 1; }
+
+say "building xeond and xeonctl into $SMOKE_DIR"
+go build -o "$SMOKE_DIR/xeond" ./cmd/xeond
+go build -o "$SMOKE_DIR/xeonctl" ./cmd/xeonctl
 
 # boot <name> <extra flags...>: start one xeond, wait for its address
 # file, and publish BOOTED_ADDR/BOOTED_PID.
