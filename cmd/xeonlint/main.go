@@ -1,9 +1,7 @@
-// Command xeonlint runs the repo's nine domain-specific static analyzers
+// Command xeonlint runs the repo's eight domain-specific static analyzers
 // (see internal/analysis) over the module: nondeterminism taint,
 // dimension inference, unit safety, dropped errors, context flow,
-// goroutine leaks, lock ordering, counter/golden-schema parity, and
-// hot-loop allocations (hotalloc) in the functions marked
-// //xeonlint:hot and the functions their loops call.
+// goroutine leaks, lock ordering, and counter/golden-schema parity.
 //
 // Usage:
 //
@@ -15,7 +13,6 @@
 //	xeonlint -diff ./...     # print pending fixes as a unified diff
 //	xeonlint -only ctxflow,goleak ./...   # run a subset of analyzers
 //	xeonlint -skip taint ./...            # run all but these analyzers
-//	xeonlint -hot-report     # print the hot set and exit
 //	xeonlint -v ./...        # report per-analyzer wall time on stderr
 //
 // Findings print as "file:line:col: [analyzer] message" and make the exit
@@ -26,10 +23,6 @@
 // is fix-clean. Suppress a finding with
 // //xeonlint:ignore <analyzer> <reason> on or above the offending line —
 // unused suppressions are themselves findings.
-//
-// -hot-report prints one hot function per line, its pprof-style name
-// and why it is hot; scripts/pgo-freshness.sh checks the checked-in CPU
-// profile's hot functions against it.
 package main
 
 import (
@@ -55,7 +48,6 @@ func main() {
 		diffFix  = flag.Bool("diff", false, "print suggested fixes as a unified diff; exit 1 if any are pending")
 		only     = flag.String("only", "", "comma-separated analyzers to run exclusively")
 		skip     = flag.String("skip", "", "comma-separated analyzers to skip")
-		hotRep   = flag.Bool("hot-report", false, "print the hot set, then exit")
 		verbose  = flag.Bool("v", false, "report per-analyzer wall time on stderr")
 	)
 	flag.Parse()
@@ -92,15 +84,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "xeonlint:", err)
 		os.Exit(2)
 	}
-	if *hotRep {
-		hot := prog.HotFunctions()
-		for _, h := range hot {
-			fmt.Printf("%-60s %s\n", h.Name, h.Reason)
-		}
-		fmt.Fprintf(os.Stderr, "xeonlint: %d hot function(s)\n", len(hot))
-		return
-	}
-
 	diags, timings := prog.RunTimed(analyzers)
 	if *verbose {
 		for _, t := range timings {

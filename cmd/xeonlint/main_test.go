@@ -22,7 +22,7 @@ func TestSelectAnalyzers(t *testing.T) {
 	}{
 		{"", "", names},
 		{"lockorder, taint", "", []string{"taint", "lockorder"}},
-		{"", "taint,hotalloc", names[1 : len(names)-1]},
+		{"", "taint,counterparity", names[1 : len(names)-1]},
 		{"ctxflow,goleak,lockorder", "goleak", []string{"ctxflow", "lockorder"}},
 		{"nosuch", "", nil},
 		{"", "nosuch", nil},

@@ -8,11 +8,8 @@
 // shared Facts (function index, module-wide call graph, field-use
 // relation — see facts.go) that the interprocedural passes solve their
 // fixed points over, plus shared concurrency summaries (may-block,
-// lock-acquisition, WaitGroup-join facts — see conc.go). A hot-set layer
-// joins them (hotset.go): //xeonlint:hot directives on the engine's
-// profile-hot functions, propagated through calls made inside hot loops,
-// so hotalloc lints only the code where the time goes.
-// Nine analyzers guard the promises the reproduction makes, each proven
+// lock-acquisition, WaitGroup-join facts — see conc.go).
+// Eight analyzers guard the promises the reproduction makes, each proven
 // against a seeded bug of its class by TestMutationCorpus:
 //
 //   - taint: no wall clock, no unseeded math/rand, no map-iteration
@@ -43,10 +40,10 @@
 //   - counterparity: every counters.Metrics column and counters.Event name
 //     has a renderer/exporter twin, so golden JSON schemas cannot silently
 //     lose a column
-//   - hotalloc: no per-iteration heap allocations in hot loops —
-//     string concat, fmt.Sprint*, capturing closures, interface boxing,
-//     defer-in-loop, capacity-less append (with -fix rewrites for the
-//     cases where the rewrite provably preserves behavior)
+//
+// The engine's hot path is guarded by measurement instead: a cell's
+// allocation count must not grow with its instruction budget
+// (internal/core's TestCellAllocsFlat).
 //
 // Findings can be suppressed per line with
 //
@@ -150,7 +147,6 @@ func Analyzers() []Analyzer {
 		&GoLeak{},
 		&LockOrder{},
 		&CounterParity{},
-		&HotAlloc{},
 	}
 }
 

@@ -138,49 +138,13 @@ func TestCounterParity(t *testing.T) {
 	checkFixture(t, "counterparity", []analysis.Analyzer{&analysis.CounterParity{}})
 }
 
-func TestHotAlloc(t *testing.T) {
-	checkFixture(t, "hotalloc", []analysis.Analyzer{&analysis.HotAlloc{}})
-}
-
-// TestHotAllocFixSafety pins which hotalloc findings carry a machine
-// fix: only trailing defers (deleting the keyword runs the call where
-// it was queued) and zero-length makes (adding a capacity cannot change
-// the length or produce cap < len). The fixture marks fix-carrying
-// lines with "(fix)" after the want comment; every other finding must
-// be report-only.
-func TestHotAllocFixSafety(t *testing.T) {
-	prog, root := loadFixture(t, "hotalloc")
-	diags := prog.Run([]analysis.Analyzer{&analysis.HotAlloc{}})
-	if len(diags) == 0 {
-		t.Fatal("hotalloc fixture produced no diagnostics")
-	}
-	lines := map[string][]string{}
-	for _, d := range diags {
-		rel, err := filepath.Rel(root, d.Pos.Filename)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := lines[rel]; !ok {
-			src, err := os.ReadFile(d.Pos.Filename)
-			if err != nil {
-				t.Fatal(err)
-			}
-			lines[rel] = strings.Split(string(src), "\n")
-		}
-		wantFix := strings.Contains(lines[rel][d.Pos.Line-1], "(fix)")
-		if (d.Fix != nil) != wantFix {
-			t.Errorf("%s:%d: has fix = %v, want %v: %s", rel, d.Pos.Line, d.Fix != nil, wantFix, d.Message)
-		}
-	}
-}
-
 // TestParallelRunDeterministic pins the parallel driver's contract:
 // whatever the worker count, the merged, sorted diagnostics are
 // identical — per-package fan-out must not leak scheduling order into
 // output.
 func TestParallelRunDeterministic(t *testing.T) {
 	run := func(workers int) []analysis.Diagnostic {
-		prog, _ := loadFixture(t, "hotalloc")
+		prog, _ := loadFixture(t, "taint")
 		prog.Workers = workers
 		return prog.Run(analysis.Analyzers())
 	}
@@ -236,15 +200,15 @@ func TestIgnoreDirectives(t *testing.T) {
 	}
 }
 
-// TestAnalyzersRegistered pins the registry: nine analyzers, stable
+// TestAnalyzersRegistered pins the registry: eight analyzers, stable
 // unique names, non-empty docs — the contract -list and the ignore
 // grammar rely on.
 func TestAnalyzersRegistered(t *testing.T) {
 	as := analysis.Analyzers()
-	if len(as) != 9 {
-		t.Fatalf("got %d analyzers, want 9", len(as))
+	if len(as) != 8 {
+		t.Fatalf("got %d analyzers, want 8", len(as))
 	}
-	want := []string{"taint", "dimension", "unitsafety", "errdrop", "ctxflow", "goleak", "lockorder", "counterparity", "hotalloc"}
+	want := []string{"taint", "dimension", "unitsafety", "errdrop", "ctxflow", "goleak", "lockorder", "counterparity"}
 	for i, a := range as {
 		if a.Name() != want[i] {
 			t.Errorf("analyzer %d is %q, want %q", i, a.Name(), want[i])

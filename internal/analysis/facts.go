@@ -72,7 +72,6 @@ type Facts struct {
 	taint *taintFacts // solved lazily by the taint analyzer
 	dims  *dimFacts   // solved lazily by the dimension analyzer
 	conc  *concFacts  // solved lazily by the concurrency analyzers
-	hotf  *hotFacts   // solved lazily by hotalloc and -hot-report
 }
 
 // Facts returns the program's shared analysis facts, building them on

@@ -103,9 +103,6 @@ func lockBA(a *ledgerA, b *ledgerB) {
 	{analyzer: "counterparity", file: "internal/counters/counters.go",
 		anchor: "\tCPI            float64 // cycles / instructions retired\n",
 		src:    "\tUnrendered     float64 // a column no renderer or exporter reads\n"},
-	{analyzer: "hotalloc", file: "internal/cpu/cpu.go",
-		anchor: "\t\tif x.done == len(x.runq) {\n\t\t\tsettle(now)\n\t\t\treturn now, false, false\n\t\t}\n",
-		src:    "\t\t_ = fmt.Sprintf(\"%d\", now)\n"},
 }
 
 // TestMutationCorpus is the lint tier's proof of work. It copies the

@@ -136,8 +136,6 @@ func (c *Cache) Config() Config { return c.cfg }
 func (c *Cache) NumSets() int { return int(c.numSets) }
 
 // LineAddr returns the line-aligned address containing addr.
-//
-//xeonlint:hot >=1% flat in cmd/xeonchar/default.pgo
 func (c *Cache) LineAddr(addr uint64) uint64 {
 	return addr >> c.lineShift << c.lineShift
 }
@@ -157,8 +155,6 @@ type LookupResult struct {
 // Lookup performs a demand access to addr. On a hit the line's LRU stamp is
 // refreshed and, for a write, the line is marked dirty. On a miss the cache
 // is unchanged; the caller is expected to resolve the miss and then Fill.
-//
-//xeonlint:hot >=1% flat in cmd/xeonchar/default.pgo
 func (c *Cache) Lookup(addr uint64, write bool) LookupResult {
 	tag := addr >> c.lineShift
 	base := c.setBase(addr)
@@ -206,8 +202,6 @@ type FillResult struct {
 // full. write marks the new line dirty; prefetch marks it as a speculative
 // fill. Filling a line that is already present refreshes it in place (and
 // upgrades dirtiness) without eviction.
-//
-//xeonlint:hot >=1% flat in cmd/xeonchar/default.pgo
 func (c *Cache) Fill(addr uint64, write, prefetch bool) FillResult {
 	tag := addr >> c.lineShift
 	base := c.setBase(addr)

@@ -195,8 +195,6 @@ func (t *Thread) rand() float64 {
 // randBits returns the raw 53-bit draw behind rand(); comparing it against
 // a randThreshold value is exactly equivalent to comparing rand() against
 // the probability, without the integer→float conversion.
-//
-//xeonlint:hot >=1% flat in cmd/xeonchar/default.pgo
 func (t *Thread) randBits() uint64 {
 	t.rngState += 0x9e3779b97f4a7c15
 	z := t.rngState
@@ -454,8 +452,6 @@ func (x *Context) NextEvent(now int64) int64 {
 // This classification is deliberately conservative: any case that is not
 // provably a no-op window returns 0, forcing cycle-by-cycle stepping, so
 // the optimized engine stays byte-identical with the reference loop.
-//
-//xeonlint:hot >=1% flat in cmd/xeonchar/default.pgo
 func (x *Context) QuietWake(now int64) int64 {
 	if !x.Enabled {
 		return -1
@@ -492,8 +488,6 @@ func (x *Context) stall(t *Thread, now, n int64) {
 
 // memorySubsystem resolves a data access for thread t at cycle now and
 // returns the exposed stall in cycles. write selects store semantics.
-//
-//xeonlint:hot >=1% flat in cmd/xeonchar/default.pgo
 func (c *Core) memorySubsystem(x *Context, t *Thread, now int64, addr uint64, write bool) int64 {
 	var stall int64
 
@@ -767,8 +761,6 @@ func arriveBarrier(t *Thread, now, releaseCost int64) bool {
 // was issued. Hyper-Threading is modeled as strict round-robin selection of
 // one ready context per cycle; the selected context issues up to
 // IssuePerCycle micro-ops.
-//
-//xeonlint:hot >=1% flat in cmd/xeonchar/default.pgo
 func (c *Core) Step(now int64) bool {
 	n := len(c.Contexts)
 	var x *Context
@@ -936,8 +928,6 @@ func (c *Core) Step(now int64) bool {
 // changes inside Step — only this core steps during a solo window — whole
 // segments between changes are charged with a single counter add instead
 // of one per advancement.
-//
-//xeonlint:hot the solo-window loop; its time is mostly charged to Step, so its own flat share sits under the profile cutoff
 func (c *Core) StepWindow(x *Context, from, bound, limit int64, watchRelease bool) (now int64, issued, released bool) {
 	now = from
 	seg := now
@@ -1023,8 +1013,6 @@ func (c *Core) StepWindow(x *Context, from, bound, limit int64, watchRelease boo
 // semantics, closing conditions, and equivalence argument are identical to
 // StepWindow's; arbitration between the contexts stays inside Step, so the
 // issue interleaving is untouched.
-//
-//xeonlint:hot >=1% flat in cmd/xeonchar/default.pgo
 func (c *Core) StepWindow2(x0, x1 *Context, from, bound, limit int64, watchRelease bool) (now int64, issued, released bool) {
 	now = from
 	seg := now
@@ -1132,8 +1120,6 @@ func (c *Core) StepWindow2(x0, x1 *Context, from, bound, limit int64, watchRelea
 
 // readyFull is ready() plus barrier-release recovery: a context whose
 // mounted thread was released from a barrier becomes schedulable again.
-//
-//xeonlint:hot >=1% flat in cmd/xeonchar/default.pgo
 func (x *Context) readyFull(now int64) bool {
 	t := x.cur
 	if t == nil {
@@ -1181,8 +1167,6 @@ func (x *Context) anyRunnable() bool {
 
 // stallNoCount blocks issue without charging stall-cycle counters (used for
 // barrier release and dependency bubbles, which are not PMU stalls).
-//
-//xeonlint:hot >=1% flat in cmd/xeonchar/default.pgo
 func (x *Context) stallNoCount(now, n int64) {
 	if now+n > x.readyAt {
 		x.readyAt = now + n

@@ -153,7 +153,6 @@ func (p Params) Validate() error {
 // rng is a SplitMix64 generator: deterministic, seedable, and cheap.
 type rng struct{ s uint64 }
 
-//xeonlint:hot >=1% flat in cmd/xeonchar/default.pgo
 func (r *rng) next() uint64 {
 	r.s += 0x9e3779b97f4a7c15
 	z := r.s
@@ -210,8 +209,6 @@ func newDivisor(n uint64) divisor {
 // the true quotient or one above it; in the latter case the subtraction
 // wraps to [2^64-n, 2^64), disjoint from true remainders for n < 2^63, so
 // one wrapping add of n restores exactness.
-//
-//xeonlint:hot >=1% flat in cmd/xeonchar/default.pgo
 func (d divisor) rem(x uint64) uint64 {
 	if d.magic == 0 {
 		if d.n <= 1 {
@@ -420,8 +417,6 @@ func (g *Generator) startChunk() {
 // a given instruction is always a load, always a branch, and so on. This is
 // what lets a global-history branch predictor learn the stream — the branch
 // sites repeat every pass over the code loop.
-//
-//xeonlint:hot >=1% flat in cmd/xeonchar/default.pgo
 func pcMix(pc uint64) float64 {
 	z := pc * 0x9e3779b97f4a7c15
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
@@ -439,7 +434,6 @@ func advance(cur uint64, step uint64, r mem.Region) uint64 {
 	return next
 }
 
-//xeonlint:hot >=1% flat in cmd/xeonchar/default.pgo
 func (g *Generator) dataAddr() uint64 {
 	r := g.rng.bits()
 	switch {
@@ -499,8 +493,6 @@ func (g *Generator) hotSpan() uint64 {
 // classify derives the site code for pc from its hash. Kinds are a pure
 // function of the PC, so branch sites are stable across passes and a
 // history-based predictor can learn the stream. classify consumes no RNG.
-//
-//xeonlint:hot >=1% flat in cmd/xeonchar/default.pgo
 func (g *Generator) classify(pc uint64) uint8 {
 	r := pcMix(pc)
 	switch {
@@ -523,8 +515,6 @@ func (g *Generator) classify(pc uint64) uint8 {
 // siteKind returns the site code for pc, memoized over the hot code span.
 // Cold-excursion PCs (above the span) are classified on the fly — they are
 // a fraction of a percent of the stream.
-//
-//xeonlint:hot >=1% flat in cmd/xeonchar/default.pgo
 func (g *Generator) siteKind(pc uint64) uint8 {
 	if off := pc - g.layout.Code.Base; off < g.hotN {
 		i := off >> 2
@@ -539,8 +529,6 @@ func (g *Generator) siteKind(pc uint64) uint8 {
 }
 
 // emitKind produces a non-loop-back record for the instruction at pc.
-//
-//xeonlint:hot >=1% flat in cmd/xeonchar/default.pgo
 func (g *Generator) emitKind(pc uint64, in *Instr) {
 	switch g.siteKind(pc) {
 	case siteLoad:
@@ -611,8 +599,6 @@ func (g *Generator) HotSet() []uint64 {
 // Next fills in the next record and reports whether one was produced. The
 // stream is a fixed number of barrier-terminated chunks; after the final
 // barrier it returns false forever. Barrier records do not consume budget.
-//
-//xeonlint:hot >=1% flat in cmd/xeonchar/default.pgo
 func (g *Generator) Next(in *Instr) bool {
 	if g.pendBarrier {
 		g.pendBarrier = false
