@@ -20,9 +20,9 @@ race:
 # Full (non-short) race pass over the concurrency-heavy packages the
 # goleak/lockorder analyzers police statically; CI runs this leg in its
 # test matrix. The race detector turns the full core suite's ~2 minutes
-# into ~25 (the integration shape studies are memory-access-heavy, the
-# detector's worst case), so the default 10m per-package test timeout
-# is not enough.
+# into about 23 on a 2-vCPU host (the integration shape studies are
+# memory-access-heavy, the detector's worst case), so the default 10m
+# per-package test timeout is not enough.
 race-conc:
 	$(GO) test -race -timeout 40m ./internal/server/... ./internal/core/...
 
@@ -75,7 +75,7 @@ lint-fix-clean: build
 
 # The full gate: build, lint, formatting, and the race-enabled test suite.
 # Core's full suite under the race detector outlasts the default 10m
-# per-package timeout: it takes about 40 minutes on a 2-vCPU host.
+# per-package timeout: it takes about 22 minutes on a 2-vCPU host.
 check: lint
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi

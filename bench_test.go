@@ -2,8 +2,7 @@ package xeonomp
 
 // The benchmark harness: one testing.B benchmark per table and figure of
 // the paper (see DESIGN.md section 4 for the experiment index), plus one
-// sub-benchmark per design-choice ablation and functional-kernel benches
-// for the NPB implementations.
+// sub-benchmark per design-choice ablation.
 //
 // Each figure/table bench regenerates the experiment's data at a reduced
 // instruction-budget scale per iteration and logs the rendered output once
@@ -20,7 +19,6 @@ import (
 	"xeonomp/internal/core"
 	"xeonomp/internal/lmbench"
 	"xeonomp/internal/machine"
-	"xeonomp/internal/npb"
 	"xeonomp/internal/profiles"
 	"xeonomp/internal/runcache"
 )
@@ -308,36 +306,6 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := core.RunSingle(cg, serial, opt); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// Functional NPB kernel benchmarks (real computation, class S).
-func BenchmarkNPB(b *testing.B) {
-	type runner func(threads int) npb.Result
-	kernels := []struct {
-		name string
-		run  runner
-	}{
-		{"EP", func(n int) npb.Result { p, _ := npb.EPClass(npb.ClassS); r, _ := npb.RunEP(p, n); return r }},
-		{"IS", func(n int) npb.Result { p, _ := npb.ISClass(npb.ClassS); return npb.RunIS(p, n) }},
-		{"CG", func(n int) npb.Result { p, _ := npb.CGClass(npb.ClassS); r, _ := npb.RunCG(p, n); return r }},
-		{"MG", func(n int) npb.Result { p, _ := npb.MGClass(npb.ClassS); r, _ := npb.RunMG(p, n); return r }},
-		{"FT", func(n int) npb.Result { p, _ := npb.FTClass(npb.ClassT); r, _ := npb.RunFT(p, n); return r }},
-		{"BT", func(n int) npb.Result { p, _ := npb.AppClass(npb.ClassS); r, _ := npb.RunBT(p, n); return r }},
-		{"SP", func(n int) npb.Result { p, _ := npb.AppClass(npb.ClassS); r, _ := npb.RunSP(p, n); return r }},
-		{"LU", func(n int) npb.Result { p, _ := npb.AppClass(npb.ClassS); r, _ := npb.RunLU(p, n); return r }},
-	}
-	for _, k := range kernels {
-		for _, threads := range []int{1, 4} {
-			b.Run(fmt.Sprintf("%s/threads=%d", k.name, threads), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					res := k.run(threads)
-					if !res.Verified {
-						b.Fatalf("%s failed verification: %s", k.name, res.Detail)
-					}
-				}
-			})
 		}
 	}
 }

@@ -1,8 +1,8 @@
 // Package xeonomp reproduces "A Comprehensive Analysis of OpenMP
 // Applications on Dual-Core Intel Xeon SMPs" (Grant & Afsahi, IPPS 2007) as
 // a Go library: a cycle-approximate simulator of a two-way dual-core
-// Hyper-Threaded Xeon SMP, an OpenMP-like runtime with functional NAS
-// benchmark implementations, and a characterization framework that
+// Hyper-Threaded Xeon SMP, class-B architectural profiles of the NAS
+// OpenMP benchmarks that drive it, and a characterization framework that
 // regenerates every table and figure of the paper.
 //
 // See README.md for the tour, ARCHITECTURE.md for the module map and
@@ -17,7 +17,6 @@
 //	go test -bench=. -benchmem
 //
 // The command-line entry points live under cmd/: xeonchar (all figures and
-// tables, the Section 3 calibration and the design-choice ablations) and
-// nasrun (functional NAS benchmarks), plus the xeond/xeonctl experiment
-// server and the xeonlint and benchsnap tooling.
+// tables, the Section 3 calibration and the design-choice ablations), the
+// xeond/xeonctl experiment server, and the xeonlint and benchsnap tooling.
 package xeonomp

@@ -25,10 +25,10 @@ import (
 //     single file looks wrong.
 //
 // The wall-clock allowlist still applies to where findings are reported
-// (internal/journal's progress reporter and cmd/nasrun legitimately
-// observe real time), but taint is tracked *through* allowlisted code:
-// an allowlisted timestamp that escapes into a golden artifact is still
-// a finding, reported at the sink call outside the allowlist.
+// (internal/journal's progress reporter legitimately observes real
+// time), but taint is tracked *through* allowlisted code: an
+// allowlisted timestamp that escapes into a golden artifact is still a
+// finding, reported at the sink call outside the allowlist.
 type NDTaint struct{}
 
 func (*NDTaint) Name() string { return "taint" }
@@ -38,12 +38,12 @@ func (*NDTaint) Doc() string {
 
 // wallClockAllowlist names the packages (by path suffix) allowed to read
 // the wall clock: the progress/ETA reporter, which exists to report real
-// elapsed time, the functional NAS harness, which times real computation,
-// the observability layer, which is the single clock-reading choke
-// point the rest of the tree instruments through (obs.StartTimer/Span) —
-// its values flow into the metric registry and tracer, never into
-// artifacts — and the wire layer (internal/api, internal/shard), whose
-// timers pace retries and reconnects without touching payloads.
+// elapsed time, the observability layer, which is the single
+// clock-reading choke point the rest of the tree instruments through
+// (obs.StartTimer/Span) — its values flow into the metric registry and
+// tracer, never into artifacts — and the wire layer (internal/api,
+// internal/shard), whose timers pace retries and reconnects without
+// touching payloads.
 // Everything else in the tree is simulation or export code, where
 // wall-clock reads are nondeterminism leaking into results.
 //
@@ -60,7 +60,6 @@ func (*NDTaint) Doc() string {
 var wallClockAllowlist = []string{
 	"internal/journal",
 	"internal/obs",
-	"cmd/nasrun",
 	// The wire layer: reconnect backoff, 429 retry pacing, and failover
 	// probing are real-time concerns by nature. Nothing these packages
 	// compute from the clock reaches results — backends cannot affect

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -18,6 +19,10 @@ func TestPaperShapes(t *testing.T) {
 	}
 	opt := DefaultOptions()
 	opt.Scale = 0.4
+	// Results do not depend on Workers (TestStudySerializationIsBitStable),
+	// so the shape studies use every CPU, and the race pass covers
+	// RunCells' worker pool.
+	opt.Workers = runtime.GOMAXPROCS(0)
 	study, err := runSingleStudy(opt)
 	if err != nil {
 		t.Fatal(err)
@@ -201,6 +206,7 @@ func TestPairStudyShapes(t *testing.T) {
 	}
 	opt := DefaultOptions()
 	opt.Scale = 0.3
+	opt.Workers = runtime.GOMAXPROCS(0)
 	study, err := runPairStudy(opt)
 	if err != nil {
 		t.Fatal(err)
@@ -263,6 +269,7 @@ func TestCrossStudyShapes(t *testing.T) {
 	}
 	opt := DefaultOptions()
 	opt.Scale = 0.3
+	opt.Workers = runtime.GOMAXPROCS(0)
 	study, err := runCrossStudy(opt)
 	if err != nil {
 		t.Fatal(err)

@@ -2,8 +2,10 @@
 // OpenMP benchmarks used to drive the timing simulator. Each Profile is a
 // compact description of a benchmark's behaviour — instruction mix, working
 // sets, access patterns, branch structure, code footprint, and parallel-loop
-// granularity — derived from the loop structure of the functional kernels in
-// internal/npb and from published NPB characterization data.
+// granularity. The fields are calibrated, not derived from running code:
+// they are tuned until the studies land in the paper-shape bands (DESIGN.md
+// sections 1 and 7, TestPaperShapes) and kept consistent with published NPB
+// class-B characterization data.
 //
 // The profiles are where the paper's per-benchmark personalities live:
 //

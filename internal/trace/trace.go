@@ -567,12 +567,11 @@ func (g *Generator) WarmSet() []uint64 {
 	if step == 0 {
 		step = 192
 	}
-	seen := make(map[uint64]struct{})
+	// cur rises by step > 0, so line never decreases and a repeated line
+	// can only follow itself.
 	var out []uint64
 	for cur := g.warmRegion.Base; cur < g.warmRegion.End(); cur += step {
-		line := cur &^ 63
-		if _, ok := seen[line]; !ok {
-			seen[line] = struct{}{}
+		if line := cur &^ 63; len(out) == 0 || out[len(out)-1] != line {
 			out = append(out, line)
 		}
 	}

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -257,25 +258,44 @@ func TestKindIsPureFunctionOfPC(t *testing.T) {
 }
 
 func TestWarmSetMatchesFootprint(t *testing.T) {
-	l := testLayout(t, 2)
-	p := testParams()
-	g, _ := NewGenerator(p, l, 0, 1000, 1)
-	ws := g.WarmSet()
-	want := int(p.WarmBytes / p.WarmStride) // 192-byte steps over 96 steps, all distinct lines
-	if len(ws) != want {
-		t.Fatalf("warm set %d lines, want %d", len(ws), want)
+	// Strides below 64 bytes, and a base that is not line aligned, visit
+	// the same line on consecutive steps; each line must appear once, in
+	// scan order.
+	rows := []struct {
+		stride, hotBytes uint64
+	}{
+		{192, 4096}, // the default stride: 96 steps, all distinct lines
+		{8, 4096},
+		{40, 4096},
+		{96, 4096},
+		{40, 4096 + 24},
 	}
-	seen := map[uint64]bool{}
-	for _, a := range ws {
-		if a%64 != 0 {
-			t.Fatalf("warm address %#x not line aligned", a)
+	l := testLayout(t, 2)
+	for _, row := range rows {
+		p := testParams()
+		p.WarmStride, p.HotBytes = row.stride, row.hotBytes
+		g, err := NewGenerator(p, l, 0, 1000, 1)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if seen[a] {
-			t.Fatalf("duplicate warm line %#x", a)
+		base := l.Private[0].Base + p.HotBytes
+		seen := map[uint64]bool{}
+		var want []uint64
+		for cur := base; cur < base+p.WarmBytes; cur += row.stride {
+			if line := cur &^ 63; !seen[line] {
+				seen[line] = true
+				want = append(want, line)
+			}
 		}
-		seen[a] = true
-		if !l.Private[0].Contains(a) {
-			t.Fatalf("warm line %#x outside private region", a)
+		ws := g.WarmSet()
+		if !slices.Equal(ws, want) {
+			t.Errorf("stride %d, hot %d: warm set of %d lines differs from the %d-line reference",
+				row.stride, row.hotBytes, len(ws), len(want))
+		}
+		for _, a := range ws {
+			if !l.Private[0].Contains(a) {
+				t.Fatalf("stride %d: warm line %#x outside private region", row.stride, a)
+			}
 		}
 	}
 }
