@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short race race-conc fuzz bench bench-cache bench-snapshot check ci check-golden update-golden figures figures-cached lmbench ablations profile fmt vet lint lint-conc lint-fix lint-fix-clean server-smoke shard-smoke clean
+.PHONY: build test test-short race race-conc fuzz bench bench-cache bench-snapshot check ci check-golden update-golden figures figures-cached lmbench ablations profile fmt vet lint lint-conc server-smoke shard-smoke clean
 
 build:
 	$(GO) build ./...
@@ -63,16 +63,6 @@ lint: build
 lint-conc: build
 	$(GO) run ./cmd/xeonlint -v -only ctxflow,goleak,lockorder ./...
 
-# Apply every machine-applicable fix xeonlint proposes (magic-literal →
-# units.* rewrites, explicit `_ =` error drops), in place.
-lint-fix: build
-	$(GO) run ./cmd/xeonlint -fix ./...
-
-# Fail if xeonlint still has fixes pending — the CI guard that keeps the
-# tree converged under `make lint-fix`. Prints the unified diff.
-lint-fix-clean: build
-	$(GO) run ./cmd/xeonlint -diff ./...
-
 # The full gate: build, lint, formatting, and the race-enabled test suite.
 # Core's full suite under the race detector outlasts the default 10m
 # per-package timeout: it takes about 22 minutes on a 2-vCPU host.
@@ -99,7 +89,6 @@ SRC_HASH := $(shell git ls-files -co --exclude-standard -- '*.go' go.mod | xargs
 # server and core), server-smoke and shard-smoke.
 ci:
 	$(MAKE) lint
-	$(MAKE) lint-fix-clean
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 	$(GO) test -race -short ./...

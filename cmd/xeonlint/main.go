@@ -7,31 +7,24 @@
 //
 //	xeonlint ./...           # analyze the whole module (the only scope)
 //	xeonlint -list           # print the analyzers and what they guard
-//	xeonlint -tests ./...    # also analyze in-package _test.go files
 //	xeonlint -json ./...     # one JSON finding per line, for tooling
-//	xeonlint -fix ./...      # apply the suggested fixes in place
-//	xeonlint -diff ./...     # print pending fixes as a unified diff
 //	xeonlint -only ctxflow,goleak ./...   # run a subset of analyzers
-//	xeonlint -skip taint ./...            # run all but these analyzers
 //	xeonlint -v ./...        # report per-analyzer wall time on stderr
 //
 // Findings print as "file:line:col: [analyzer] message" and make the exit
-// status 1; a load or usage problem exits 2. Under -fix, findings that
-// carry a machine-applicable fix are rewritten in place and only the
-// unfixable remainder affects the exit status. Under -diff, the exit
-// status is 1 exactly when fixes are pending, so CI can assert the tree
-// is fix-clean. Suppress a finding with
-// //xeonlint:ignore <analyzer> <reason> on or above the offending line —
-// unused suppressions are themselves findings.
+// status 1; a load or usage problem exits 2. Fix a finding by hand, or
+// suppress it with //xeonlint:ignore <analyzer> <reason> on or above its
+// line; an unused suppression is itself a finding.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"time"
 
@@ -39,191 +32,126 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// finding is one -json output line.
+type finding struct {
+	File     string `json:"file"`
+	Line     int    `json:"line"`
+	Col      int    `json:"col"`
+	Analyzer string `json:"analyzer"`
+	Message  string `json:"message"`
+}
+
+// run is the whole command: it parses args, writes findings to stdout
+// and everything else to stderr, and returns the exit status — 0 clean,
+// 1 findings, 2 a usage or load problem.
+func run(args []string, stdout, stderr io.Writer) int {
+	// A failed write to stderr has nowhere left to be reported.
+	warnf := func(format string, a ...any) { _, _ = fmt.Fprintf(stderr, "xeonlint: "+format+"\n", a...) }
+
+	fs := flag.NewFlagSet("xeonlint", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		root     = flag.String("root", ".", "module root to analyze (must hold go.mod)")
-		tests    = flag.Bool("tests", false, "also analyze in-package _test.go files")
-		list     = flag.Bool("list", false, "list the analyzers and exit")
-		jsonOut  = flag.Bool("json", false, "emit one JSON finding per line")
-		applyFix = flag.Bool("fix", false, "apply suggested fixes in place")
-		diffFix  = flag.Bool("diff", false, "print suggested fixes as a unified diff; exit 1 if any are pending")
-		only     = flag.String("only", "", "comma-separated analyzers to run exclusively")
-		skip     = flag.String("skip", "", "comma-separated analyzers to skip")
-		verbose  = flag.Bool("v", false, "report per-analyzer wall time on stderr")
+		root    = fs.String("root", ".", "module root to analyze (must hold go.mod)")
+		list    = fs.Bool("list", false, "list the analyzers and exit")
+		jsonOut = fs.Bool("json", false, "emit one JSON finding per line")
+		only    = fs.String("only", "", "comma-separated analyzers to run exclusively")
+		verbose = fs.Bool("v", false, "report per-analyzer wall time on stderr")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return 0
+	} else if err != nil {
+		return 2
+	}
 
 	analyzers := analysis.Analyzers()
 	if *list {
 		for _, a := range analyzers {
-			fmt.Printf("%-14s %s\n", a.Name(), a.Doc())
+			if _, err := fmt.Fprintf(stdout, "%-14s %s\n", a.Name(), a.Doc()); err != nil {
+				warnf("%v", err)
+				return 2
+			}
 		}
-		return
+		return 0
 	}
-	analyzers, err := selectAnalyzers(analyzers, *only, *skip)
+	analyzers, err := selectAnalyzers(analyzers, *only)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "xeonlint:", err)
-		os.Exit(2)
+		warnf("%v", err)
+		return 2
 	}
-	if *applyFix && *diffFix {
-		fmt.Fprintln(os.Stderr, "xeonlint: -fix and -diff are mutually exclusive (apply, or preview)")
-		os.Exit(2)
-	}
-	// The linter always analyzes the whole module: the cross-package
-	// analyzers need every package loaded anyway. Accept the conventional
-	// ./... argument; reject anything narrower so nobody believes a
-	// partial run happened.
-	for _, arg := range flag.Args() {
+	// The cross-package analyzers need the whole module loaded anyway, so
+	// accept ./... (or .) and reject anything narrower: nobody should
+	// believe a partial run happened.
+	for _, arg := range fs.Args() {
 		if arg != "./..." && arg != "." {
-			fmt.Fprintf(os.Stderr, "xeonlint: only whole-module analysis is supported; got %q (use ./... or no argument)\n", arg)
-			os.Exit(2)
+			warnf("only whole-module analysis is supported; got %q (use ./... or no argument)", arg)
+			return 2
 		}
 	}
 
-	prog, err := (&analysis.Loader{Root: *root, IncludeTests: *tests}).Load()
+	prog, err := (&analysis.Loader{Root: *root}).Load()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "xeonlint:", err)
-		os.Exit(2)
+		warnf("%v", err)
+		return 2
 	}
 	diags, timings := prog.RunTimed(analyzers)
 	if *verbose {
 		for _, t := range timings {
-			fmt.Fprintf(os.Stderr, "xeonlint: %-14s %12v\n", t.Name, time.Duration(t.ElapsedNs))
+			warnf("%-14s %12v", t.Name, time.Duration(t.ElapsedNs))
 		}
 	}
 
-	if *applyFix || *diffFix {
-		fixed, err := analysis.ApplyFixes(prog, diags, os.ReadFile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "xeonlint:", err)
-			os.Exit(2)
-		}
-		if *diffFix {
-			names := make([]string, 0, len(fixed))
-			for name := range fixed {
-				names = append(names, name)
-			}
-			sort.Strings(names)
-			pending := false
-			for _, name := range names {
-				old, err := os.ReadFile(name)
-				if err != nil {
-					fmt.Fprintln(os.Stderr, "xeonlint:", err)
-					os.Exit(2)
-				}
-				if d := analysis.UnifiedDiff(relName(name), old, fixed[name]); d != "" {
-					fmt.Print(d)
-					pending = true
-				}
-			}
-			if pending {
-				fmt.Fprintln(os.Stderr, "xeonlint: fixes pending; run xeonlint -fix ./...")
-				os.Exit(1)
-			}
-			return
-		}
-		names := make([]string, 0, len(fixed))
-		for name := range fixed {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			if err := os.WriteFile(name, fixed[name], 0o644); err != nil {
-				fmt.Fprintln(os.Stderr, "xeonlint:", err)
-				os.Exit(2)
-			}
-		}
-		// Only the findings no fix could resolve remain actionable.
-		var rest []analysis.Diagnostic
-		for _, d := range diags {
-			if d.Fix == nil {
-				rest = append(rest, d)
-			}
-		}
-		fmt.Fprintf(os.Stderr, "xeonlint: applied fixes in %d file(s), %d finding(s) remain\n", len(fixed), len(rest))
-		diags = rest
-	}
-
+	// Paths print relative to the working directory, as editors and CI
+	// annotations expect (absolute if it is unknown: Rel then fails).
+	cwd, _ := os.Getwd()
+	enc := json.NewEncoder(stdout)
 	for _, d := range diags {
-		if *jsonOut {
-			line, err := json.Marshal(struct {
-				File     string `json:"file"`
-				Line     int    `json:"line"`
-				Col      int    `json:"col"`
-				Analyzer string `json:"analyzer"`
-				Message  string `json:"message"`
-				Fixable  bool   `json:"fixable"`
-			}{relName(d.Pos.Filename), d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message, d.Fix != nil})
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "xeonlint:", err)
-				os.Exit(2)
-			}
-			fmt.Println(string(line))
-			continue
+		file := d.Pos.Filename
+		if rel, err := filepath.Rel(cwd, file); err == nil {
+			file = rel
 		}
-		fmt.Printf("%s:%d:%d: [%s] %s\n", relName(d.Pos.Filename), d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message)
+		var err error
+		if *jsonOut {
+			err = enc.Encode(finding{file, d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message})
+		} else {
+			_, err = fmt.Fprintf(stdout, "%s:%d:%d: [%s] %s\n", file, d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message)
+		}
+		if err != nil {
+			warnf("%v", err)
+			return 2
+		}
 	}
 	if len(diags) > 0 {
-		fmt.Fprintf(os.Stderr, "xeonlint: %d finding(s)\n", len(diags))
-		os.Exit(1)
+		warnf("%d finding(s)", len(diags))
+		return 1
 	}
+	return 0
 }
 
-// selectAnalyzers narrows the registry by the -only/-skip flag values,
-// preserving registry order. Unknown names are an error, not a silent
-// no-op pass.
-func selectAnalyzers(all []analysis.Analyzer, only, skip string) ([]analysis.Analyzer, error) {
-	names := map[string]bool{}
+// selectAnalyzers narrows the registry to the -only names, in registry
+// order; an unknown name is an error, not a silently narrower run.
+func selectAnalyzers(all []analysis.Analyzer, only string) ([]analysis.Analyzer, error) {
+	if only == "" {
+		return all, nil
+	}
+	selected := map[string]bool{} // every known name, true once named
 	for _, a := range all {
-		names[a.Name()] = true
+		selected[a.Name()] = false
 	}
-	parse := func(flagName, v string) (map[string]bool, error) {
-		if v == "" {
-			return nil, nil
+	for _, name := range strings.Split(only, ",") {
+		name = strings.TrimSpace(name)
+		if _, known := selected[name]; !known {
+			return nil, fmt.Errorf("-only names unknown analyzer %q (see -list)", name)
 		}
-		set := map[string]bool{}
-		for _, name := range strings.Split(v, ",") {
-			name = strings.TrimSpace(name)
-			if !names[name] {
-				return nil, fmt.Errorf("-%s names unknown analyzer %q (see -list)", flagName, name)
-			}
-			set[name] = true
-		}
-		return set, nil
-	}
-	onlySet, err := parse("only", only)
-	if err != nil {
-		return nil, err
-	}
-	skipSet, err := parse("skip", skip)
-	if err != nil {
-		return nil, err
+		selected[name] = true
 	}
 	var out []analysis.Analyzer
 	for _, a := range all {
-		if onlySet != nil && !onlySet[a.Name()] {
-			continue
+		if selected[a.Name()] {
+			out = append(out, a)
 		}
-		if skipSet[a.Name()] {
-			continue
-		}
-		out = append(out, a)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("-only/-skip selected no analyzers")
 	}
 	return out, nil
-}
-
-// relName renders a filename relative to the working directory when
-// possible, matching how editors and CI annotations expect paths.
-func relName(name string) string {
-	cwd, err := os.Getwd()
-	if err != nil {
-		return name
-	}
-	rel, err := filepath.Rel(cwd, name)
-	if err != nil {
-		return name
-	}
-	return rel
 }

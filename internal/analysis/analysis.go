@@ -22,14 +22,13 @@
 //     naming conventions, propagated through arithmetic; mixed-dimension
 //     addition and meaningless products are findings
 //   - unitsafety: no magic ns/Hz/byte conversion literals bypassing
-//     internal/units (with a -fix rewrite to the named constant)
+//     internal/units
 //   - errdrop: no silently dropped error returns (the forEachJob bug
-//     class; bare statement drops carry a -fix `_ =` rewrite)
+//     class)
 //   - ctxflow: cancellation reaches the blocking frontier — no fresh
-//     context roots outside main/tests, no ctx parameter dropped before
-//     a may-block callee, no unguarded channel op or cond wait, no
-//     select without a ctx.Done() arm (with -fix rewrites for roots and
-//     missing Done arms)
+//     context roots outside main, no ctx parameter dropped before a
+//     may-block callee, no unguarded channel op or cond wait, no select
+//     without a ctx.Done() arm
 //   - goleak: every goroutine has a provable termination path — a
 //     WaitGroup join someone Waits on (checked across calls), a context
 //     handed to the spawned function, or a structurally finite body
@@ -51,9 +50,8 @@
 //
 // on the offending line or the line directly above it. The reason is
 // mandatory, and an ignore that suppresses nothing is itself reported, so
-// suppressions cannot rot silently. Findings may carry machine-applicable
-// fixes (fix.go); cmd/xeonlint applies them with -fix and previews them
-// with -diff.
+// suppressions cannot rot silently. The package only reports: a finding
+// is fixed by hand, or suppressed with its reason on record.
 package analysis
 
 import (
@@ -70,15 +68,11 @@ import (
 )
 
 // Diagnostic is one finding: a position, the analyzer that produced it,
-// a message, and optionally a machine-applicable fix. The driver renders
-// it as "file:line:col: [analyzer] msg".
+// and a message. The driver renders it as "file:line:col: [analyzer] msg".
 type Diagnostic struct {
 	Pos      token.Position
 	Analyzer string
 	Message  string
-	// Fix, when non-nil, is a textual edit that resolves the finding;
-	// cmd/xeonlint applies it under -fix and previews it under -diff.
-	Fix *SuggestedFix
 }
 
 func (d Diagnostic) String() string {

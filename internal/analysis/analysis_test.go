@@ -2,7 +2,6 @@ package analysis_test
 
 import (
 	"bufio"
-	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -239,7 +238,11 @@ func TestLoaderSkipsNestedModules(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	prog, diags := runOn(t, root)
+	prog, err := (&analysis.Loader{Root: root}).Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	diags := prog.Run(analysis.Analyzers())
 	if len(prog.Packages) != 1 || prog.Packages[0].Path != "outer" {
 		for _, pkg := range prog.Packages {
 			t.Errorf("loaded package %s", pkg.Path)
@@ -248,87 +251,6 @@ func TestLoaderSkipsNestedModules(t *testing.T) {
 	}
 	if len(diags) != 0 {
 		t.Errorf("findings from the nested module: %v", diags)
-	}
-}
-
-// copyFixture clones a fixture module into a temp dir so -fix can rewrite
-// it without touching the checked-in sources.
-func copyFixture(t *testing.T, name string) string {
-	t.Helper()
-	src := filepath.Join("testdata", "src", name)
-	dst := t.TempDir()
-	err := filepath.WalkDir(src, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		rel, err := filepath.Rel(src, path)
-		if err != nil {
-			return err
-		}
-		target := filepath.Join(dst, rel)
-		if d.IsDir() {
-			return os.MkdirAll(target, 0o755)
-		}
-		b, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		return os.WriteFile(target, b, 0o644)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return dst
-}
-
-func runOn(t *testing.T, root string) (*analysis.Program, []analysis.Diagnostic) {
-	t.Helper()
-	prog, err := (&analysis.Loader{Root: root}).Load()
-	if err != nil {
-		t.Fatalf("loading %s: %v", root, err)
-	}
-	return prog, prog.Run(analysis.Analyzers())
-}
-
-// TestFixIdempotency pins the autofix contract on the fixable fixture:
-// every finding there carries a fix, applying the fixes leaves the module
-// lint-clean, and a second apply pass proposes no further edits.
-func TestFixIdempotency(t *testing.T) {
-	root := copyFixture(t, "fixable")
-
-	prog, diags := runOn(t, root)
-	if len(diags) == 0 {
-		t.Fatal("fixable fixture produced no findings")
-	}
-	for _, d := range diags {
-		if d.Fix == nil {
-			t.Errorf("finding without a fix in the fixable fixture: %s", d)
-		}
-	}
-
-	fixed, err := analysis.ApplyFixes(prog, diags, os.ReadFile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fixed) == 0 {
-		t.Fatal("ApplyFixes produced no file rewrites")
-	}
-	for name, content := range fixed {
-		if err := os.WriteFile(name, content, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	prog2, diags2 := runOn(t, root)
-	if len(diags2) != 0 {
-		t.Fatalf("findings remain after applying fixes: %v", diags2)
-	}
-	again, err := analysis.ApplyFixes(prog2, diags2, os.ReadFile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(again) != 0 {
-		t.Fatalf("second fix pass still proposes edits in %d file(s)", len(again))
 	}
 }
 
@@ -362,89 +284,5 @@ func TestSortDiagnostics(t *testing.T) {
 		if got[i] != want[i] {
 			t.Errorf("position %d: got %v, want %v", i, got[i], want[i])
 		}
-	}
-}
-
-// TestApplyFixesOverlap pins the overlap contract for fixes from two
-// analyzers aimed at the same line: non-overlapping edits all apply,
-// truly overlapping edits resolve deterministically to the earlier start
-// regardless of the order diagnostics arrive in.
-func TestApplyFixesOverlap(t *testing.T) {
-	prog, root := loadFixture(t, "ignores")
-	var file string
-	var base int // token.Pos offset base of the first fixture file
-	for _, pkg := range prog.Packages {
-		for _, f := range pkg.Files {
-			file = prog.Fset.Position(f.Pos()).Filename
-			base = int(f.FileStart)
-			break
-		}
-		break
-	}
-	_ = root
-	src, err := os.ReadFile(file)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	edit := func(start, end int, text string) *analysis.SuggestedFix {
-		return &analysis.SuggestedFix{Message: "test edit", Edits: []analysis.TextEdit{{
-			Pos: token.Pos(base + start), End: token.Pos(base + end), NewText: text,
-		}}}
-	}
-	diag := func(analyzer string, fix *analysis.SuggestedFix) analysis.Diagnostic {
-		var d analysis.Diagnostic
-		d.Pos.Filename = file
-		d.Analyzer = analyzer
-		d.Message = "synthetic"
-		d.Fix = fix
-		return d
-	}
-
-	// Same line, non-overlapping: an insertion at column 0 (ctxflow) and a
-	// replacement at columns 3-5 (errdrop) must both land.
-	both := []analysis.Diagnostic{
-		diag("ctxflow", edit(0, 0, "A")),
-		diag("errdrop", edit(3, 5, "BB")),
-	}
-	fixed, err := analysis.ApplyFixes(prog, both, os.ReadFile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantBoth := "A" + string(src[:3]) + "BB" + string(src[5:])
-	if got := string(fixed[file]); got != wantBoth {
-		t.Errorf("non-overlapping same-line edits: got %q..., want %q...", got[:10], wantBoth[:10])
-	}
-
-	// Truly overlapping ranges: earlier start wins, and the outcome is the
-	// same whichever analyzer's diagnostic comes first.
-	overlapping := [][]analysis.Diagnostic{
-		{diag("ctxflow", edit(0, 4, "X")), diag("errdrop", edit(2, 6, "Y"))},
-		{diag("errdrop", edit(2, 6, "Y")), diag("ctxflow", edit(0, 4, "X"))},
-	}
-	wantOverlap := "X" + string(src[4:])
-	for i, diags := range overlapping {
-		fixed, err := analysis.ApplyFixes(prog, diags, os.ReadFile)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := string(fixed[file]); got != wantOverlap {
-			t.Errorf("overlap order %d: got %q..., want earlier-start edit to win", i, got[:10])
-		}
-	}
-}
-
-// TestUnifiedDiff pins the diff renderer -diff is built on.
-func TestUnifiedDiff(t *testing.T) {
-	oldSrc := []byte("a\nb\nc\nd\ne\nf\ng\n")
-	newSrc := []byte("a\nb\nc\nX\ne\nf\ng\n")
-	d := analysis.UnifiedDiff("f.go", oldSrc, newSrc)
-	for _, wantLine := range []string{"--- f.go", "+++ f.go", "-d", "+X", "@@ -1,7 +1,7 @@"} {
-		if !strings.Contains(d, wantLine) {
-			t.Errorf("diff missing %q:\n%s", wantLine, d)
-		}
-	}
-	if analysis.UnifiedDiff("f.go", oldSrc, oldSrc) != "" {
-		t.Error("identical contents produced a non-empty diff")
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // CtxFlow enforces that cancellation actually reaches the places that can
@@ -14,9 +13,8 @@ import (
 // every channel hand-off, cond wait, and backend call downstream of it,
 // or Ctrl-C and client disconnects strand goroutines mid-cell. Four rules:
 //
-//   - no fresh roots: context.Background()/TODO() outside package main,
-//     tests, and single-statement wrappers is a finding (with a -fix
-//     replacing it when a ctx parameter is in scope)
+//   - no fresh roots: context.Background()/TODO() outside package main
+//     and single-statement wrappers is a finding
 //   - no dropped ctx at the frontier: a function holding a ctx parameter
 //     must not call a module function that may block but accepts no
 //     context — the interprocedural "ctx stops here" bug
@@ -25,8 +23,7 @@ import (
 //     sync.Cond.Wait without a context.AfterFunc bridge are findings
 //     unless they sit inside a select with a ctx.Done() arm or default
 //   - cancellable selects: a select with neither a ctx.Done() arm nor a
-//     default cannot be preempted; when the enclosing function returns
-//     error, the finding carries a -fix inserting the Done arm
+//     default cannot be preempted
 //
 // Blocking facts come from the shared concurrency summaries (conc.go),
 // so helpers that block only transitively are still caught at the call.
@@ -49,23 +46,21 @@ func (a *CtxFlow) Check(prog *Program, pkg *Package) []Diagnostic {
 
 func (a *CtxFlow) checkBody(prog *Program, pkg *Package, cf *concFacts, b Body) []Diagnostic {
 	var diags []Diagnostic
-	report := func(n ast.Node, fix *SuggestedFix, format string, args ...any) {
-		diags = append(diags, Diagnostic{Pos: prog.Fset.Position(n.Pos()), Analyzer: a.Name(), Message: fmt.Sprintf(format, args...), Fix: fix})
+	report := func(n ast.Node, format string, args ...any) {
+		diags = append(diags, Diagnostic{Pos: prog.Fset.Position(n.Pos()), Analyzer: a.Name(), Message: fmt.Sprintf(format, args...)})
 	}
 	info := pkg.Info
-	decl, _ := b.Owner.(*ast.FuncDecl)
-	filename := prog.Fset.Position(b.Block.Pos()).Filename
-	inTest := strings.HasSuffix(filename, "_test.go")
 
 	var ctxVar *types.Var
-	if decl != nil {
-		ctxVar = ctxParamVar(info, decl.Type)
-	} else if lit, ok := b.Owner.(*ast.FuncLit); ok {
-		ctxVar = ctxParamVar(info, lit.Type)
+	switch owner := b.Owner.(type) {
+	case *ast.FuncDecl:
+		ctxVar = ctxParamVar(info, owner.Type)
+	case *ast.FuncLit:
+		ctxVar = ctxParamVar(info, owner.Type)
 	}
 
 	// Fresh-root rule, independent of whether a ctx is in scope.
-	if pkg.Name != "main" && !inTest {
+	if pkg.Name != "main" {
 		ast.Inspect(b.Block, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
@@ -83,14 +78,7 @@ func (a *CtxFlow) checkBody(prog *Program, pkg *Package, cf *concFacts, b Body) 
 			if ctxVar == nil && isCompatWrapper(b.Block, call) {
 				return true
 			}
-			var fix *SuggestedFix
-			if ctxVar != nil {
-				fix = &SuggestedFix{
-					Message: fmt.Sprintf("use the in-scope context %s", ctxVar.Name()),
-					Edits:   []TextEdit{{Pos: call.Pos(), End: call.End(), NewText: ctxVar.Name()}},
-				}
-			}
-			report(call, fix, "context.%s() starts a fresh context root; thread the caller's ctx instead", fn.Name())
+			report(call, "context.%s() starts a fresh context root; thread the caller's ctx instead", fn.Name())
 			return true
 		})
 	}
@@ -122,17 +110,7 @@ func (a *CtxFlow) checkBody(prog *Program, pkg *Package, cf *concFacts, b Body) 
 		if selectCommsEvidenced(info, sel, buffered, closed) {
 			return true
 		}
-		var fix *SuggestedFix
-		if returnsExactlyError(decl) {
-			fix = &SuggestedFix{
-				Message: fmt.Sprintf("add a <-%s.Done() arm returning %s.Err()", ctxVar.Name(), ctxVar.Name()),
-				Edits: []TextEdit{{
-					Pos: sel.Body.Rbrace, End: sel.Body.Rbrace,
-					NewText: fmt.Sprintf("case <-%s.Done():\n\t\treturn %s.Err()\n\t", ctxVar.Name(), ctxVar.Name()),
-				}},
-			}
-		}
-		report(sel, fix, "select has no <-%s.Done() arm or default; cancellation cannot preempt it", ctxVar.Name())
+		report(sel, "select has no <-%s.Done() arm or default; cancellation cannot preempt it", ctxVar.Name())
 		return true
 	})
 	inSelect := func(n ast.Node) bool {
@@ -150,7 +128,7 @@ func (a *CtxFlow) checkBody(prog *Program, pkg *Package, cf *concFacts, b Body) 
 			if inSelect(n) || buffered[chainObject(info, n.Chan)] {
 				return true
 			}
-			report(n, nil, "send on unbuffered channel %s with ctx in scope may block forever; select on it with <-%s.Done()",
+			report(n, "send on unbuffered channel %s with ctx in scope may block forever; select on it with <-%s.Done()",
 				exprString(n.Chan), ctxVar.Name())
 		case *ast.UnaryExpr:
 			if n.Op != token.ARROW || inSelect(n) || isDoneCall(info, n.X) {
@@ -160,13 +138,13 @@ func (a *CtxFlow) checkBody(prog *Program, pkg *Package, cf *concFacts, b Body) 
 			if closed[obj] || buffered[obj] {
 				return true
 			}
-			report(n, nil, "receive from %s with ctx in scope may block forever; select on it with <-%s.Done()",
+			report(n, "receive from %s with ctx in scope may block forever; select on it with <-%s.Done()",
 				exprString(n.X), ctxVar.Name())
 		case *ast.RangeStmt:
 			if !isChanType(info, n.X) || closed[chainObject(info, n.X)] {
 				return true
 			}
-			report(n, nil, "range over channel %s that nothing closes; close it or select with <-%s.Done()",
+			report(n, "range over channel %s that nothing closes; close it or select with <-%s.Done()",
 				exprString(n.X), ctxVar.Name())
 		case *ast.CallExpr:
 			fn := calleeFunc(info, n)
@@ -174,17 +152,17 @@ func (a *CtxFlow) checkBody(prog *Program, pkg *Package, cf *concFacts, b Body) 
 				return true
 			}
 			if kind, method := syncPrimitiveMethod(fn); kind == "Cond" && method == "Wait" && !hasAfterFunc {
-				report(n, nil, "sync.Cond.Wait with ctx in scope has no context.AfterFunc bridge; cancellation cannot wake the waiter")
+				report(n, "sync.Cond.Wait with ctx in scope has no context.AfterFunc bridge; cancellation cannot wake the waiter")
 				return true
 			}
 			if isHTTPRoundTrip(fn) {
-				report(n, nil, "http.%s performs a round-trip that ignores ctx; use http.NewRequestWithContext", fn.Name())
+				report(n, "http.%s performs a round-trip that ignores ctx; use http.NewRequestWithContext", fn.Name())
 				return true
 			}
 			// Frontier rule: the ctx stops here if the callee may block but
 			// cannot be handed the context.
 			if cf.facts.FuncOf[fn] != nil && cf.blocking[fn] && !funcHasCtxParam(fn) {
-				report(n, nil, "%s may block but takes no context; ctx stops here — thread it through", moduleFuncName(fn))
+				report(n, "%s may block but takes no context; ctx stops here — thread it through", moduleFuncName(fn))
 			}
 		}
 		return true
@@ -248,21 +226,6 @@ func commEvidenced(info *types.Info, comm ast.Stmt, buffered, closed map[types.O
 		return true
 	}
 	return false
-}
-
-// returnsExactlyError reports whether decl's result list is exactly one
-// unnamed-or-named error — the shape the Done-arm autofix can complete
-// with `return ctx.Err()`.
-func returnsExactlyError(decl *ast.FuncDecl) bool {
-	if decl == nil || decl.Type.Results == nil {
-		return false
-	}
-	results := decl.Type.Results.List
-	if len(results) != 1 || len(results[0].Names) > 1 {
-		return false
-	}
-	id, ok := results[0].Type.(*ast.Ident)
-	return ok && id.Name == "error"
 }
 
 // moduleFuncName renders a module function for messages: "pkg.Func" or

@@ -380,7 +380,7 @@ func (a *dimAnalysis) scalarExpr(e ast.Expr) bool {
 
 // incompatible reports a genuine dimension clash: both sides known,
 // different, and neither a bare scalar — a dimensionless factor (a ratio,
-// units.Mega, units.GB scaling a GB/s figure) may combine with anything.
+// units.GB scaling a GB/s figure) may combine with anything.
 func incompatible(a, b Dim) bool {
 	return a.known && b.known && a != b && a != dimScalar && b != dimScalar
 }
@@ -652,9 +652,9 @@ func constDim(c *types.Const) Dim {
 			return dimBytes
 		case "NsPerSecond":
 			return Dim{known: true, ns: 1, s: -1}
-		case "GB", "Mega":
-			// Numeric prefixes: GB scales GB/s figures into bytes/s and
-			// Mega scales MOPS; both are scale factors, not quantities.
+		case "GB":
+			// A numeric prefix: GB scales GB/s figures into bytes/s; it
+			// is a scale factor, not a quantity.
 			return dimScalar
 		}
 	}
@@ -817,9 +817,6 @@ func (a *Dimension) Check(prog *Program, pkg *Package) []Diagnostic {
 	var diags []Diagnostic
 	seen := map[string]bool{}
 	for _, fi := range facts.PkgFuncs(pkg) {
-		if strings.HasSuffix(prog.Fset.Position(fi.Decl.Pos()).Filename, "_test.go") {
-			continue
-		}
 		an := newDimAnalysis(fi, df)
 		an.solve()
 		an.report = func(n ast.Node, format string, args ...any) {

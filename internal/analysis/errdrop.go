@@ -33,8 +33,8 @@ var droppyDefers = map[string]bool{"Close": true, "Flush": true, "Sync": true}
 
 func (a *ErrDrop) Check(prog *Program, pkg *Package) []Diagnostic {
 	var diags []Diagnostic
-	report := func(n ast.Node, fix *SuggestedFix, format string, args ...any) {
-		diags = append(diags, Diagnostic{Pos: prog.Fset.Position(n.Pos()), Analyzer: a.Name(), Message: fmt.Sprintf(format, args...), Fix: fix})
+	report := func(n ast.Node, format string, args ...any) {
+		diags = append(diags, Diagnostic{Pos: prog.Fset.Position(n.Pos()), Analyzer: a.Name(), Message: fmt.Sprintf(format, args...)})
 	}
 	for _, f := range pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -44,33 +44,19 @@ func (a *ErrDrop) Check(prog *Program, pkg *Package) []Diagnostic {
 				if !ok || !returnsError(pkg.Info, call) || a.excluded(pkg.Info, call) {
 					return true
 				}
-				// Only single-error results can become `_ = call`; a
-				// multi-value tuple needs a hand-written receiver list.
-				var fix *SuggestedFix
-				if tv, ok := pkg.Info.Types[call]; ok {
-					if _, isTuple := tv.Type.(*types.Tuple); !isTuple {
-						fix = &SuggestedFix{
-							Message: "make the drop explicit with `_ =` and a review marker",
-							Edits: []TextEdit{
-								{Pos: n.Pos(), End: n.Pos(), NewText: "_ = "},
-								{Pos: n.End(), End: n.End(), NewText: " // TODO(xeonlint): handle this error"},
-							},
-						}
-					}
-				}
-				report(n, fix, "%s returns an error that is dropped; handle it or assign to _ explicitly", callName(pkg.Info, call))
+				report(n, "%s returns an error that is dropped; handle it or assign to _ explicitly", callName(pkg.Info, call))
 			case *ast.DeferStmt:
 				fn := calleeFunc(pkg.Info, n.Call)
 				if fn == nil || !droppyDefers[fn.Name()] || !returnsError(pkg.Info, n.Call) {
 					return true
 				}
-				report(n, nil, "deferred %s discards its error; wrap it in a func that checks, or //xeonlint:ignore with a reason",
+				report(n, "deferred %s discards its error; wrap it in a func that checks, or //xeonlint:ignore with a reason",
 					callName(pkg.Info, n.Call))
 			case *ast.GoStmt:
 				if !returnsError(pkg.Info, n.Call) || a.excluded(pkg.Info, n.Call) {
 					return true
 				}
-				report(n, nil, "go %s discards the goroutine's error; collect it via a channel or errgroup-style join",
+				report(n, "go %s discards the goroutine's error; collect it via a channel or errgroup-style join",
 					callName(pkg.Info, n.Call))
 			}
 			return true

@@ -18,16 +18,14 @@ import (
 // root using only the standard library: local imports are resolved by
 // type-checking the imported directory (memoized, in dependency order)
 // and everything else goes through go/types' source importer.
+//
+// Only non-test files are loaded: the analyzers guard what ships, and
+// _test.go files are skipped like any file for another platform.
 type Loader struct {
 	// Root is the module root directory (the one holding go.mod).
 	Root string
-	// ModulePath overrides the module path; read from go.mod when empty.
-	ModulePath string
-	// IncludeTests adds in-package _test.go files to each package.
-	// External test packages (package foo_test) are never loaded: they
-	// would need export-data plumbing the analyzers don't profit from.
-	IncludeTests bool
 
+	modPath string // the module directive of Root's go.mod
 	fset    *token.FileSet
 	std     types.ImporterFrom
 	pkgs    map[string]*Package // import path -> loaded package
@@ -47,12 +45,8 @@ func (l *Loader) Load() (*Program, error) {
 		return nil, err
 	}
 	l.Root = abs
-	if l.ModulePath == "" {
-		mp, err := modulePath(filepath.Join(l.Root, "go.mod"))
-		if err != nil {
-			return nil, err
-		}
-		l.ModulePath = mp
+	if l.modPath, err = modulePath(filepath.Join(l.Root, "go.mod")); err != nil {
+		return nil, err
 	}
 	l.fset = token.NewFileSet()
 	l.std = importer.ForCompiler(l.fset, "source", nil).(types.ImporterFrom)
@@ -120,7 +114,7 @@ func (l *Loader) packageDirs() ([]string, error) {
 			return err
 		}
 		for _, e := range ents {
-			if !e.IsDir() && l.includeFile(path, e.Name()) {
+			if !e.IsDir() && includeFile(path, e.Name()) {
 				dirs = append(dirs, path)
 				break
 			}
@@ -139,14 +133,12 @@ const (
 )
 
 // includeFile is the single file-selection predicate shared by discovery
-// and loading: .go files, minus editor/backup artifacts, minus _test.go
-// when tests are excluded, minus files ruled out by a GOOS/GOARCH
-// filename suffix or a //go:build / +build constraint.
-func (l *Loader) includeFile(dir, name string) bool {
-	if !strings.HasSuffix(name, ".go") || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
-		return false
-	}
-	if !l.IncludeTests && strings.HasSuffix(name, "_test.go") {
+// and loading: .go files, minus editor/backup artifacts, minus _test.go,
+// minus files ruled out by a GOOS/GOARCH filename suffix or a
+// //go:build / +build constraint.
+func includeFile(dir, name string) bool {
+	if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") ||
+		strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
 		return false
 	}
 	if !fileSuffixOK(name) {
@@ -179,7 +171,6 @@ var knownArch = map[string]bool{
 // pinned target platform.
 func fileSuffixOK(name string) bool {
 	name = strings.TrimSuffix(name, ".go")
-	name = strings.TrimSuffix(name, "_test")
 	parts := strings.Split(name, "_")
 	if len(parts) < 2 {
 		return true
@@ -244,22 +235,22 @@ func buildTagsOK(src []byte) bool {
 func (l *Loader) importPath(dir string) string {
 	rel, err := filepath.Rel(l.Root, dir)
 	if err != nil || rel == "." {
-		return l.ModulePath
+		return l.modPath
 	}
-	return l.ModulePath + "/" + filepath.ToSlash(rel)
+	return l.modPath + "/" + filepath.ToSlash(rel)
 }
 
 // dirOf maps a local import path back to its directory.
 func (l *Loader) dirOf(path string) string {
-	if path == l.ModulePath {
+	if path == l.modPath {
 		return l.Root
 	}
-	return filepath.Join(l.Root, filepath.FromSlash(strings.TrimPrefix(path, l.ModulePath+"/")))
+	return filepath.Join(l.Root, filepath.FromSlash(strings.TrimPrefix(path, l.modPath+"/")))
 }
 
 // isLocal reports whether path belongs to the loaded module.
 func (l *Loader) isLocal(path string) bool {
-	return path == l.ModulePath || strings.HasPrefix(path, l.ModulePath+"/")
+	return path == l.modPath || strings.HasPrefix(path, l.modPath+"/")
 }
 
 // Import implements types.Importer.
@@ -302,7 +293,7 @@ func (l *Loader) loadLocal(path string) (*Package, error) {
 	var files []*ast.File
 	var names []string
 	for _, e := range ents {
-		if e.IsDir() || !l.includeFile(dir, e.Name()) {
+		if e.IsDir() || !includeFile(dir, e.Name()) {
 			continue
 		}
 		names = append(names, e.Name())
@@ -314,10 +305,6 @@ func (l *Loader) loadLocal(path string) (*Package, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Skip external test packages (package foo_test).
-		if strings.HasSuffix(f.Name.Name, "_test") && strings.HasSuffix(name, "_test.go") {
-			continue
-		}
 		if pkgName == "" {
 			pkgName = f.Name.Name
 		}
@@ -327,9 +314,9 @@ func (l *Loader) loadLocal(path string) (*Package, error) {
 		files = append(files, f)
 	}
 	if len(files) == 0 {
-		// Every file was excluded (a dir holding only external-test
-		// packages, or only files for other platforms): not an error,
-		// just nothing to analyze. Memoize the miss.
+		// Every file was excluded (a dir holding only files for other
+		// platforms): not an error, just nothing to analyze. Memoize
+		// the miss.
 		l.pkgs[path] = nil
 		return nil, nil
 	}

@@ -41,168 +41,27 @@ func (a *UnitSafety) Check(prog *Program, pkg *Package) []Diagnostic {
 	if pathHasSuffix(pkg.Path, unitsPackage) {
 		return nil
 	}
-	units := unitsPkgOf(prog)
 	var diags []Diagnostic
 	for _, f := range pkg.Files {
-		if strings.HasSuffix(prog.Fset.Position(f.Pos()).Filename, "_test.go") {
-			continue
-		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			bin, ok := n.(*ast.BinaryExpr)
 			if !ok || (bin.Op != token.MUL && bin.Op != token.QUO) {
 				return true
 			}
-			for i, operand := range []ast.Expr{bin.X, bin.Y} {
+			for _, operand := range []ast.Expr{bin.X, bin.Y} {
 				lit, ok := ast.Unparen(operand).(*ast.BasicLit)
-				if !ok {
+				if !ok || !a.isMagic(lit) {
 					continue
-				}
-				if !a.isMagic(lit) {
-					continue
-				}
-				sibling := bin.Y
-				if i == 1 {
-					sibling = bin.X
 				}
 				diags = append(diags, Diagnostic{
 					Pos:      prog.Fset.Position(lit.Pos()),
 					Analyzer: a.Name(),
-					Message:  fmt.Sprintf("magic conversion literal %s in arithmetic; name it through internal/units (units.GB, units.GHz, units.Mega, ...)", lit.Value),
-					Fix:      a.rewriteFix(f, units, lit, sibling)})
+					Message:  fmt.Sprintf("magic conversion literal %s in arithmetic; name it through internal/units (units.GB, units.GHz, units.NsPerSecond, ...)", lit.Value)})
 			}
 			return true
 		})
 	}
 	return diags
-}
-
-// unitsPkgOf finds the loaded module's internal/units package, the target
-// of the literal rewrites; nil when the module has none.
-func unitsPkgOf(prog *Program) *Package {
-	for _, pkg := range prog.Packages {
-		if pathHasSuffix(pkg.Path, unitsPackage) {
-			return pkg
-		}
-	}
-	return nil
-}
-
-// rewriteFix builds the literal→units.Constant edit. The constant is
-// picked by the factor's magnitude, disambiguated by the text around the
-// literal (a 1e9 next to "freq" is GHz, next to "bytes" is GB, otherwise
-// ns-per-second); a non-unit mantissa becomes a parenthesized product
-// (2.8e9 → (2.8 * units.GHz)). Factors with no safe spelling (1e12) and
-// modules without a units package get no fix — the finding still reports.
-func (a *UnitSafety) rewriteFix(f *ast.File, units *Package, lit *ast.BasicLit, sibling ast.Expr) *SuggestedFix {
-	if units == nil {
-		return nil
-	}
-	mantissa, exp := splitMagic(lit)
-	if exp == 0 {
-		return nil
-	}
-	context := strings.ToLower(exprString(sibling))
-	freqish := strings.Contains(context, "freq") || strings.Contains(context, "hz") || strings.Contains(context, "clock")
-	byteish := strings.Contains(context, "byte") || strings.Contains(context, "bw") || strings.Contains(context, "band")
-
-	var constant string
-	switch exp {
-	case 3:
-		if !freqish {
-			return nil // a bare 1000 could be ms↔s, KB, or KHz; no safe guess
-		}
-		constant = "KHz"
-	case 6:
-		if freqish {
-			constant = "MHz"
-		} else {
-			constant = "Mega"
-		}
-	case 9:
-		switch {
-		case freqish:
-			constant = "GHz"
-		case byteish:
-			constant = "GB"
-		default:
-			constant = "NsPerSecond"
-		}
-	default:
-		return nil
-	}
-	replacement := units.Name + "." + constant
-	if mantissa != "" && mantissa != "1" {
-		replacement = "(" + mantissa + " * " + replacement + ")"
-	}
-	fix := &SuggestedFix{
-		Message: fmt.Sprintf("replace %s with %s", lit.Value, replacement),
-		Edits:   []TextEdit{{Pos: lit.Pos(), End: lit.End(), NewText: replacement}},
-	}
-	if imp := importEdit(f, units); imp != nil {
-		fix.Edits = append(fix.Edits, *imp)
-	}
-	return fix
-}
-
-// splitMagic decomposes a magic literal into its mantissa text and
-// decimal exponent ("2.8e9" → "2.8", 9; "1000000" → "1", 6). A zero
-// exponent means the literal is not a recognized factor.
-func splitMagic(lit *ast.BasicLit) (string, int) {
-	text := strings.ReplaceAll(lit.Value, "_", "")
-	if i := strings.IndexAny(text, "eE"); i >= 0 {
-		mant := text[:i]
-		switch strings.TrimPrefix(text[i+1:], "+") {
-		case "3":
-			return mant, 3
-		case "6":
-			return mant, 6
-		case "9":
-			return mant, 9
-		case "12":
-			return mant, 12
-		}
-		return "", 0
-	}
-	switch text {
-	case "1000":
-		return "1", 3
-	case "1000000":
-		return "1", 6
-	case "1000000000":
-		return "1", 9
-	case "1000000000000":
-		return "1", 12
-	}
-	return "", 0
-}
-
-// importEdit returns the edit inserting the units import into f, or nil
-// when f already imports it.
-func importEdit(f *ast.File, units *Package) *TextEdit {
-	quoted := `"` + units.Path + `"`
-	var lastImport *ast.GenDecl
-	for _, decl := range f.Decls {
-		gd, ok := decl.(*ast.GenDecl)
-		if !ok || gd.Tok != token.IMPORT {
-			continue
-		}
-		lastImport = gd
-		for _, spec := range gd.Specs {
-			if is, ok := spec.(*ast.ImportSpec); ok && is.Path.Value == quoted {
-				return nil
-			}
-		}
-	}
-	if lastImport == nil {
-		// No imports at all: start a block after the package clause.
-		pos := f.Name.End()
-		return &TextEdit{Pos: pos, End: pos, NewText: "\n\nimport " + quoted}
-	}
-	if lastImport.Rparen != token.NoPos {
-		return &TextEdit{Pos: lastImport.Rparen, End: lastImport.Rparen, NewText: "\t" + quoted + "\n"}
-	}
-	// A single unparenthesized import: append another one below it.
-	return &TextEdit{Pos: lastImport.End(), End: lastImport.End(), NewText: "\nimport " + quoted}
 }
 
 // isMagic reports whether a literal spells a power-of-ten conversion

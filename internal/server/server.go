@@ -199,6 +199,27 @@ func (s *Server) Handler() http.Handler {
 	})
 }
 
+// maxRequestBody bounds the body of a POST request. A valid cell or
+// study request is a few hundred bytes; the bound keeps a hostile client
+// from making the daemon buffer an unbounded body.
+const maxRequestBody = 1 << 20
+
+// decodeRequest decodes r's JSON body into v, reading at most
+// maxRequestBody bytes. On failure it answers 400 and returns false.
+func decodeRequest(w http.ResponseWriter, r *http.Request, what string, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeError(w, http.StatusBadRequest, api.CodeBadRequest, "%s request body over the %d-byte limit", what, maxRequestBody)
+	} else {
+		writeError(w, http.StatusBadRequest, api.CodeBadRequest, "decoding %s request: %v", what, err)
+	}
+	return false
+}
+
 // writeJSON emits v as the response body with the given status.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
@@ -264,8 +285,7 @@ func (s *Server) buildOptions(scale float64, seed uint64, policy string, backend
 // finishes its current cell at the next engine checkpoint).
 func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 	var req api.CellRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, api.CodeBadRequest, "decoding cell request: %v", err)
+	if !decodeRequest(w, r, "cell", &req) {
 		return
 	}
 	if len(req.Benchmarks) < 1 || len(req.Benchmarks) > 2 {
@@ -344,8 +364,7 @@ func cellResponse(res *core.RunResult, cached bool) api.CellResponse {
 // answering 202 with the job's initial status.
 func (s *Server) handleStudySubmit(w http.ResponseWriter, r *http.Request) {
 	var req api.StudyRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, api.CodeBadRequest, "decoding study request: %v", err)
+	if !decodeRequest(w, r, "study", &req) {
 		return
 	}
 	req = req.Normalized()

@@ -5,10 +5,13 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -146,6 +149,44 @@ func TestCellEndpointRejectsBadRequests(t *testing.T) {
 		if !errors.As(err, &apiErr) || apiErr.Code != api.CodeBadRequest || apiErr.Message == "" {
 			t.Errorf("%+v: error %v lacks the structured code/message", req, err)
 		}
+	}
+}
+
+// TestOverLimitBodiesRejected pins the request-body bound: a body past
+// maxRequestBody on either POST endpoint is a typed bad request naming
+// the limit, and the server still serves valid requests afterwards.
+func TestOverLimitBodiesRejected(t *testing.T) {
+	_, c := newTestServer(t, Config{})
+	ctx := context.Background()
+	huge := strings.Repeat("x", 2*maxRequestBody)
+	limit := strconv.Itoa(maxRequestBody)
+	check := func(what string, err error) {
+		t.Helper()
+		var apiErr *api.Error
+		if errors.Is(err, api.ErrBadRequest) && errors.As(err, &apiErr) && strings.Contains(apiErr.Message, limit) {
+			return
+		}
+		msg := fmt.Sprint(err)
+		if len(msg) > 200 {
+			msg = msg[:200] + "..." // the rest echoes the oversized field
+		}
+		t.Errorf("over-limit %s request: error %s, want api.ErrBadRequest naming the %s-byte limit", what, msg, limit)
+	}
+
+	_, err := c.RunCell(ctx, api.CellRequest{Benchmarks: []string{"CG"}, Config: huge})
+	check("cell", err)
+	if _, err := c.RunCell(ctx, api.CellRequest{Benchmarks: []string{"CG"}, Config: "Serial", Scale: testScale}); err != nil {
+		t.Fatalf("valid cell after an over-limit one: %v", err)
+	}
+
+	_, err = c.SubmitStudy(ctx, api.StudyRequest{Study: huge})
+	check("study", err)
+	st, err := c.SubmitStudy(ctx, api.StudyRequest{Study: "single", Scale: testScale})
+	if err != nil {
+		t.Fatalf("valid study after an over-limit one: %v", err)
+	}
+	if _, err := c.CancelStudy(ctx, st.ID); err != nil {
+		t.Fatalf("canceling the valid study: %v", err)
 	}
 }
 

@@ -17,20 +17,12 @@ const (
 	GiB int64 = 1 << 30
 )
 
-// Hz multiples.
-const (
-	KHz float64 = 1e3
-	MHz float64 = 1e6
-	GHz float64 = 1e9
-)
+// GHz is one gigahertz, the unit the modeled clock rates are given in.
+const GHz float64 = 1e9
 
 // GB is the decimal gigabyte used in bandwidth figures (GB/s), matching how
 // the paper reports LMbench bandwidths.
 const GB float64 = 1e9
-
-// Mega is the bare 10^6 scale factor used for rates reported in millions
-// (the paper's MOPS figures).
-const Mega float64 = 1e6
 
 // NsPerSecond converts between seconds and nanoseconds; derived rates such
 // as bytes/ns -> GB/s should use this instead of a literal 1e9.
