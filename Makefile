@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short race race-conc fuzz bench bench-cache bench-snapshot check ci check-golden update-golden figures figures-cached lmbench ablations profile fmt vet lint lint-conc server-smoke shard-smoke clean
+.PHONY: build test test-short race race-conc fuzz bench bench-engine bench-cache bench-snapshot check ci check-golden update-golden figures figures-cached lmbench ablations profile fmt vet lint lint-conc server-smoke shard-smoke clean
 
 build:
 	$(GO) build ./...
@@ -40,11 +40,20 @@ fuzz:
 		done; \
 	done
 
-# One benchmark per paper table/figure; XEONOMP_BENCH_SCALE overrides the
-# per-iteration workload scale. -run '^$$' keeps the unit-test suite from
-# re-running before the benchmarks do.
+# Every benchmark in the module, once: one per paper table/figure at the
+# root (XEONOMP_BENCH_SCALE overrides the per-iteration workload scale),
+# the engine microbenchmarks, and the codec and cache benchmarks. -run '^$$'
+# keeps the unit-test suite from re-running before the benchmarks do.
 bench:
-	$(GO) test -run '^$$' -bench=. -benchmem -benchtime=1x
+	$(GO) test -run '^$$' -bench=. -benchmem -benchtime=1x ./...
+
+# The cycle engine's microbenchmarks (stream generation, cache, TLB and
+# branch-predictor operations, one cell per stepping shape), run once so
+# that they keep compiling and running. For measurements, raise
+# -benchtime and -count and compare commits with benchstat.
+ENGINE_PKGS := ./internal/trace ./internal/cache ./internal/tlb ./internal/branch ./internal/machine
+bench-engine:
+	$(GO) test -run '^$$' -bench . -benchtime 1x $(ENGINE_PKGS)
 
 # Static analysis: go vet plus the repo's eight analyzers (cmd/xeonlint —
 # nondeterminism taint, dimension inference, unit safety, dropped errors,
@@ -92,6 +101,7 @@ ci:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 	$(GO) test -race -short ./...
+	$(MAKE) bench-engine
 	$(MAKE) check-golden
 	$(MAKE) bench-snapshot
 	$(MAKE) fuzz

@@ -78,38 +78,38 @@ type Outcome struct {
 	BTBMiss      bool // target unknown at fetch (charged like a mispredict bubble for taken branches)
 }
 
+// nextCtr[taken][ctr] is a 2-bit saturating counter after an update:
+// one step up for a taken branch, one step down for a not-taken one.
+var nextCtr = [2][4]uint8{{0, 0, 1, 2}, {1, 2, 3, 3}}
+
 // Resolve predicts the branch at pc, then updates the predictor with the
 // actual direction (taken) and target. It returns whether the prediction
 // was wrong and whether the BTB lacked the target.
+//
+// The direction of a simulated branch is random from the host's point of
+// view, so the update does not branch on it: the counter moves through
+// nextCtr, the history shifts taken in, and the BTB entry is rewritten
+// with the target or its own value.
 func (p *Predictor) Resolve(pc uint64, taken bool, target uint64) Outcome {
 	idx := p.index(pc)
-	predictTaken := p.pht[idx] >= 2
+	ctr := p.pht[idx] & 3
+	tk := b2u(taken)
+	b := (pc >> 2) & p.btbMask
+	old := p.btb[b]
+	diff := (old ^ target) & -tk // the BTB change a taken branch makes; 0 when not taken
+	p.btb[b] = old ^ diff
+	p.pht[idx] = nextCtr[tk][ctr]
+	p.history = p.history<<1 | tk
+	return Outcome{Mispredicted: ctr>>1 != uint8(tk), BTBMiss: diff != 0}
+}
 
-	var out Outcome
-	if predictTaken != taken {
-		out.Mispredicted = true
+// b2u is 1 for true and 0 for false; the compiler emits a zero-extension,
+// not a branch.
+func b2u(b bool) uint64 {
+	if b {
+		return 1
 	}
-	if taken {
-		b := (pc >> 2) & p.btbMask
-		if p.btb[b] != target {
-			out.BTBMiss = true
-			p.btb[b] = target
-		}
-	}
-
-	// Update the 2-bit counter and global history.
-	if taken {
-		if p.pht[idx] < 3 {
-			p.pht[idx]++
-		}
-	} else if p.pht[idx] > 0 {
-		p.pht[idx]--
-	}
-	p.history <<= 1
-	if taken {
-		p.history |= 1
-	}
-	return out
+	return 0
 }
 
 // Reset restores the power-on state.

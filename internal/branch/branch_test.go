@@ -1,6 +1,7 @@
 package branch
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -159,5 +160,71 @@ func TestAliasingIsBounded(t *testing.T) {
 	r := rate(p, 20000, func(i int) (uint64, bool) { return uint64(i%5000) * 4, true })
 	if r > 0.01 {
 		t.Fatalf("aliased always-taken rate %v", r)
+	}
+}
+
+// refResolve is Resolve as it was before the update became branch-free:
+// the counter saturates through compares, and the BTB and the history
+// change under `if taken`.
+func refResolve(p *Predictor, pc uint64, taken bool, target uint64) Outcome {
+	idx := p.index(pc)
+	predictTaken := p.pht[idx] >= 2
+	var out Outcome
+	if predictTaken != taken {
+		out.Mispredicted = true
+	}
+	if taken {
+		b := (pc >> 2) & p.btbMask
+		if p.btb[b] != target {
+			out.BTBMiss = true
+			p.btb[b] = target
+		}
+	}
+	if taken {
+		if p.pht[idx] < 3 {
+			p.pht[idx]++
+		}
+	} else if p.pht[idx] > 0 {
+		p.pht[idx]--
+	}
+	p.history <<= 1
+	if taken {
+		p.history |= 1
+	}
+	return out
+}
+
+// TestResolveMatchesReference drives a predictor through Resolve and a
+// twin through refResolve with the same seeded branches (biased and
+// unbiased sites, changing targets, a reset now and then). Every outcome
+// and the final state (pattern table, BTB, history) must be equal.
+func TestResolveMatchesReference(t *testing.T) {
+	got, want := New(cfg()), New(cfg())
+	s := uint64(7)
+	next := func() uint64 {
+		s += 0x9e3779b97f4a7c15
+		z := (s ^ s>>30) * 0xbf58476d1ce4e5b9
+		z = (z ^ z>>27) * 0x94d049bb133111eb
+		return z ^ z>>31
+	}
+	for op := 0; op < 300_000; op++ {
+		r := next()
+		if r%50_000 == 0 {
+			got.Reset()
+			want.Reset()
+			continue
+		}
+		site := r >> 8 % 3000
+		pc := 0x400000 + site*4
+		// Site-dependent bias from always not taken to always taken, so
+		// counters saturate at both ends.
+		taken := r>>32%8 < site%9
+		target := pc + 16 + (r>>40%2)*64
+		if g, w := got.Resolve(pc, taken, target), refResolve(want, pc, taken, target); g != w {
+			t.Fatalf("op %d: Resolve(%#x, %v, %#x) = %+v, reference %+v", op, pc, taken, target, g, w)
+		}
+	}
+	if !slices.Equal(got.pht, want.pht) || !slices.Equal(got.btb, want.btb) || got.history != want.history {
+		t.Fatal("final state differs from the reference")
 	}
 }

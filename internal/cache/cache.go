@@ -12,6 +12,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"xeonomp/internal/units"
 )
@@ -67,6 +68,9 @@ func (c Config) Validate() error {
 	if c.Assoc <= 0 || lines%int64(c.Assoc) != 0 {
 		return fmt.Errorf("cache %s: associativity %d does not divide %d lines", c.Name, c.Assoc, lines)
 	}
+	if c.Assoc > maxAssoc {
+		return fmt.Errorf("cache %s: associativity %d exceeds %d ways", c.Name, c.Assoc, maxAssoc)
+	}
 	if !units.IsPow2(lines / int64(c.Assoc)) {
 		return fmt.Errorf("cache %s: set count %d not a power of two", c.Name, lines/int64(c.Assoc))
 	}
@@ -87,11 +91,20 @@ const (
 // lineShift ≥ 5, so no reachable address can produce it.
 const invalidTag = ^uint64(0)
 
+// maxAssoc bounds the ways per set: a set scan returns its matches as the
+// bits of one uint64.
+const maxAssoc = 64
+
 // Cache is one set-associative cache instance. Line state is kept
 // structure-of-arrays, set-major: the tag scan on the Lookup hot path then
 // walks one contiguous run of uint64s (a single hardware cache line for an
 // 8-way set) instead of striding through an array of structs, and the
 // sentinel tag for empty ways keeps the scan to that single array.
+//
+// Which way of a set holds a line is random from one access to the next,
+// so every scan compares all ways into a match mask (see match) instead of
+// leaving the loop at the first match: a loop exit that depends on the
+// matching way is a host branch mispredicted on most accesses.
 type Cache struct {
 	cfg       Config
 	tags      []uint64 // numSets * assoc; invalidTag when the way is empty
@@ -145,6 +158,31 @@ func (c *Cache) setBase(addr uint64) uint64 {
 	return ((addr >> c.lineShift) & c.setMask) * c.assoc
 }
 
+// match compares every way of the set at base against tag and returns two
+// masks, with bit i for way i: the ways that hold tag and the empty ways
+// (those holding invalidTag). There is no early exit and no branch on a
+// comparison. A valid tag is held by at most one way, so hit has at most
+// one bit. A caller that uses one mask pays for one: match inlines, and
+// the compiler drops the other mask's work.
+func (c *Cache) match(base, tag uint64) (hit, free uint64) {
+	tags := c.tags[base : base+c.assoc]
+	for i := len(tags) - 1; i >= 0; i-- {
+		t := tags[i]
+		hit = hit<<1 | b2u(t == tag)
+		free = free<<1 | b2u(t == invalidTag)
+	}
+	return hit, free
+}
+
+// b2u is 1 for true and 0 for false; the compiler emits a flag set and a
+// zero-extension, not a branch.
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // LookupResult reports the outcome of a demand access.
 type LookupResult struct {
 	Hit           bool
@@ -156,39 +194,29 @@ type LookupResult struct {
 // refreshed and, for a write, the line is marked dirty. On a miss the cache
 // is unchanged; the caller is expected to resolve the miss and then Fill.
 func (c *Cache) Lookup(addr uint64, write bool) LookupResult {
-	tag := addr >> c.lineShift
 	base := c.setBase(addr)
 	c.clock++
-	tags := c.tags[base : base+c.assoc]
-	for i := range tags {
-		if tags[i] == tag {
-			j := base + uint64(i)
-			f := c.flags[j]
-			c.stamps[j] = c.clock
-			hp := f&fPrefetched != 0
-			wd := f&fDirty != 0
-			f &^= fPrefetched
-			if write {
-				f |= fDirty
-			}
-			c.flags[j] = f
-			return LookupResult{Hit: true, HitPrefetched: hp, WasDirty: wd}
-		}
+	m, _ := c.match(base, addr>>c.lineShift)
+	if m == 0 {
+		return LookupResult{}
 	}
-	return LookupResult{}
+	j := base + uint64(bits.TrailingZeros64(m))
+	f := c.flags[j]
+	c.stamps[j] = c.clock
+	hp := f&fPrefetched != 0
+	wd := f&fDirty != 0
+	f &^= fPrefetched
+	if write {
+		f |= fDirty
+	}
+	c.flags[j] = f
+	return LookupResult{Hit: true, HitPrefetched: hp, WasDirty: wd}
 }
 
 // Probe reports whether addr is present without touching LRU state.
 func (c *Cache) Probe(addr uint64) bool {
-	tag := addr >> c.lineShift
-	base := c.setBase(addr)
-	tags := c.tags[base : base+c.assoc]
-	for i := range tags {
-		if tags[i] == tag {
-			return true
-		}
-	}
-	return false
+	m, _ := c.match(c.setBase(addr), addr>>c.lineShift)
+	return m != 0
 }
 
 // FillResult reports what a Fill displaced.
@@ -208,42 +236,28 @@ func (c *Cache) Fill(addr uint64, write, prefetch bool) FillResult {
 	c.clock++
 
 	// Already present: refresh. A demand fill clears the prefetched mark.
-	for j := base; j < base+c.assoc; j++ {
-		if c.tags[j] == tag {
-			c.stamps[j] = c.clock
-			if write {
-				c.flags[j] |= fDirty
-			}
-			if !prefetch {
-				c.flags[j] &^= fPrefetched
-			}
-			return FillResult{}
+	m, free := c.match(base, tag)
+	if m != 0 {
+		j := base + uint64(bits.TrailingZeros64(m))
+		c.stamps[j] = c.clock
+		if write {
+			c.flags[j] |= fDirty
 		}
+		if !prefetch {
+			c.flags[j] &^= fPrefetched
+		}
+		return FillResult{}
 	}
 
-	// Choose victim: an invalid way if any, else per the policy.
-	victim := uint64(0)
-	found := false
-	for j := base; j < base+c.assoc; j++ {
-		if c.tags[j] == invalidTag {
-			victim = j
-			found = true
-			break
-		}
-	}
-	if !found {
-		switch c.cfg.Policy {
-		case Random:
-			c.rand = c.rand*6364136223846793005 + 1442695040888963407
-			victim = base + (c.rand>>33)%c.assoc
-		default: // LRU
-			victim = base
-			for j := base + 1; j < base+c.assoc; j++ {
-				if c.stamps[j] < c.stamps[victim] {
-					victim = j
-				}
-			}
-		}
+	// Choose victim: the first invalid way if any, else per the policy.
+	var victim uint64
+	if free != 0 {
+		victim = base + uint64(bits.TrailingZeros64(free))
+	} else if c.cfg.Policy == Random {
+		c.rand = c.rand*6364136223846793005 + 1442695040888963407
+		victim = base + (c.rand>>33)%c.assoc
+	} else {
+		victim = c.lru(base)
 	}
 	res := FillResult{}
 	if c.tags[victim] != invalidTag {
@@ -264,23 +278,34 @@ func (c *Cache) Fill(addr uint64, write, prefetch bool) FillResult {
 	return res
 }
 
+// lru returns the least recently used way of the full set at base; of
+// equal stamps the first way wins. The min scan selects with conditional
+// moves, not branches.
+func (c *Cache) lru(base uint64) uint64 {
+	stamps := c.stamps[base : base+c.assoc]
+	victim, oldest := 0, stamps[0]
+	for i, s := range stamps {
+		if s < oldest {
+			victim, oldest = i, s
+		}
+	}
+	return base + uint64(victim)
+}
+
 // Invalidate removes the line containing addr if present, reporting whether
 // it was present and dirty.
 func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
-	tag := addr >> c.lineShift
 	base := c.setBase(addr)
-	tags := c.tags[base : base+c.assoc]
-	for i := range tags {
-		if tags[i] == tag {
-			j := base + uint64(i)
-			present, dirty = true, c.flags[j]&fDirty != 0
-			c.tags[j] = invalidTag
-			c.stamps[j] = 0
-			c.flags[j] = 0
-			return
-		}
+	m, _ := c.match(base, addr>>c.lineShift)
+	if m == 0 {
+		return false, false
 	}
-	return
+	j := base + uint64(bits.TrailingZeros64(m))
+	dirty = c.flags[j]&fDirty != 0
+	c.tags[j] = invalidTag
+	c.stamps[j] = 0
+	c.flags[j] = 0
+	return true, dirty
 }
 
 // Flush invalidates every line. The LRU stamp clock and the Random-policy

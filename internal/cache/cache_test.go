@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -287,5 +288,185 @@ func TestReplacementPolicyValidation(t *testing.T) {
 	}
 	if LRU.String() != "lru" || Random.String() != "random" {
 		t.Fatal("policy names wrong")
+	}
+}
+
+// The reference scans below are the cache's operations as they were
+// before the set scans became match masks: loops that leave at the first
+// matching way, and a victim loop that takes the first invalid way or the
+// first least recently used one. TestScansMatchReference holds the
+// branch-free scans to them.
+
+func refLookup(c *Cache, addr uint64, write bool) LookupResult {
+	tag := addr >> c.lineShift
+	base := c.setBase(addr)
+	c.clock++
+	tags := c.tags[base : base+c.assoc]
+	for i := range tags {
+		if tags[i] == tag {
+			j := base + uint64(i)
+			f := c.flags[j]
+			c.stamps[j] = c.clock
+			hp := f&fPrefetched != 0
+			wd := f&fDirty != 0
+			f &^= fPrefetched
+			if write {
+				f |= fDirty
+			}
+			c.flags[j] = f
+			return LookupResult{Hit: true, HitPrefetched: hp, WasDirty: wd}
+		}
+	}
+	return LookupResult{}
+}
+
+func refProbe(c *Cache, addr uint64) bool {
+	tag := addr >> c.lineShift
+	base := c.setBase(addr)
+	tags := c.tags[base : base+c.assoc]
+	for i := range tags {
+		if tags[i] == tag {
+			return true
+		}
+	}
+	return false
+}
+
+func refFill(c *Cache, addr uint64, write, prefetch bool) FillResult {
+	tag := addr >> c.lineShift
+	base := c.setBase(addr)
+	c.clock++
+	for j := base; j < base+c.assoc; j++ {
+		if c.tags[j] == tag {
+			c.stamps[j] = c.clock
+			if write {
+				c.flags[j] |= fDirty
+			}
+			if !prefetch {
+				c.flags[j] &^= fPrefetched
+			}
+			return FillResult{}
+		}
+	}
+	victim := uint64(0)
+	found := false
+	for j := base; j < base+c.assoc; j++ {
+		if c.tags[j] == invalidTag {
+			victim = j
+			found = true
+			break
+		}
+	}
+	if !found {
+		switch c.cfg.Policy {
+		case Random:
+			c.rand = c.rand*6364136223846793005 + 1442695040888963407
+			victim = base + (c.rand>>33)%c.assoc
+		default:
+			victim = base
+			for j := base + 1; j < base+c.assoc; j++ {
+				if c.stamps[j] < c.stamps[victim] {
+					victim = j
+				}
+			}
+		}
+	}
+	res := FillResult{}
+	if c.tags[victim] != invalidTag {
+		res.Evicted = true
+		res.EvictedDirty = c.flags[victim]&fDirty != 0
+		res.EvictedAddr = c.tags[victim] << c.lineShift
+	}
+	c.tags[victim] = tag
+	c.stamps[victim] = c.clock
+	f := uint8(0)
+	if write {
+		f |= fDirty
+	}
+	if prefetch {
+		f |= fPrefetched
+	}
+	c.flags[victim] = f
+	return res
+}
+
+func refInvalidate(c *Cache, addr uint64) (present, dirty bool) {
+	tag := addr >> c.lineShift
+	base := c.setBase(addr)
+	tags := c.tags[base : base+c.assoc]
+	for i := range tags {
+		if tags[i] == tag {
+			j := base + uint64(i)
+			present, dirty = true, c.flags[j]&fDirty != 0
+			c.tags[j] = invalidTag
+			c.stamps[j] = 0
+			c.flags[j] = 0
+			return
+		}
+	}
+	return
+}
+
+// TestScansMatchReference drives a cache through its methods and a twin
+// through the reference scans with the same seeded sequence of lookups,
+// probes, fills, invalidations and rare flushes, over 8-way, 4-way and
+// 64-way (the widest a match mask holds) sets under LRU and Random
+// replacement. Every result and the final state
+// (tags, stamps, flags, LRU clock, Random-policy RNG) must be equal.
+func TestScansMatchReference(t *testing.T) {
+	for _, assoc := range []int{8, 4, 64} {
+		for _, pol := range []Replacement{LRU, Random} {
+			cfg := Config{Name: "ref", Size: int64(16 * assoc * 64), LineSize: 64, Assoc: assoc, Policy: pol}
+			got, want := New(cfg), New(cfg)
+			s := uint64(assoc)<<8 | uint64(pol) + 1
+			next := func() uint64 {
+				s += 0x9e3779b97f4a7c15
+				z := (s ^ s>>30) * 0xbf58476d1ce4e5b9
+				z = (z ^ z>>27) * 0x94d049bb133111eb
+				return z ^ z>>31
+			}
+			for op := 0; op < 200_000; op++ {
+				r := next()
+				// Three times the capacity, so sets fill, evict and refresh.
+				addr := next() % uint64(3*cfg.Size)
+				write, pf := r>>8&1 == 1, r>>9&1 == 1
+				switch r % 100 {
+				case 0:
+					got.Flush()
+					want.Flush()
+				case 1, 2, 3, 4, 5:
+					gp, gd := got.Invalidate(addr)
+					wp, wd := refInvalidate(want, addr)
+					if gp != wp || gd != wd {
+						t.Fatalf("%d-way %v op %d: Invalidate(%#x) = %v,%v, reference %v,%v", assoc, pol, op, addr, gp, gd, wp, wd)
+					}
+				case 6, 7, 8, 9, 10, 11, 12, 13, 14, 15:
+					if g, w := got.Probe(addr), refProbe(want, addr); g != w {
+						t.Fatalf("%d-way %v op %d: Probe(%#x) = %v, reference %v", assoc, pol, op, addr, g, w)
+					}
+				default:
+					if r%2 == 0 {
+						if g, w := got.Lookup(addr, write), refLookup(want, addr, write); g != w {
+							t.Fatalf("%d-way %v op %d: Lookup(%#x) = %+v, reference %+v", assoc, pol, op, addr, g, w)
+						}
+					} else if g, w := got.Fill(addr, write, pf), refFill(want, addr, write, pf); g != w {
+						t.Fatalf("%d-way %v op %d: Fill(%#x) = %+v, reference %+v", assoc, pol, op, addr, g, w)
+					}
+				}
+			}
+			if !slices.Equal(got.tags, want.tags) || !slices.Equal(got.stamps, want.stamps) ||
+				!slices.Equal(got.flags, want.flags) || got.clock != want.clock || got.rand != want.rand {
+				t.Fatalf("%d-way %v: final state differs from the reference", assoc, pol)
+			}
+		}
+	}
+}
+
+func TestAssocBound(t *testing.T) {
+	if err := (Config{Name: "wide", Size: 128 * 64, LineSize: 64, Assoc: 128}).Validate(); err == nil {
+		t.Fatal("128 ways accepted")
+	}
+	if err := (Config{Name: "fa64", Size: 64 * 64, LineSize: 64, Assoc: 64}).Validate(); err != nil {
+		t.Fatalf("64 ways rejected: %v", err)
 	}
 }

@@ -259,9 +259,13 @@ func runUncached(w Workload, cfg config.Configuration, opt Options) (*RunResult,
 		if err != nil {
 			return nil, err
 		}
+		prog, err := prof.Program(layout, per, opt.Scale, opt.Seed+uint64(pi)*7919)
+		if err != nil {
+			return nil, err
+		}
 		team := cpu.NewTeam(per)
 		for tid := 0; tid < per; tid++ {
-			gen, err := prof.Generator(layout, tid, per, opt.Scale, opt.Seed+uint64(pi)*7919)
+			gen, err := prog.Thread(tid)
 			if err != nil {
 				return nil, err
 			}

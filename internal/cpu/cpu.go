@@ -146,8 +146,6 @@ type Thread struct {
 	retired   int64
 	arrivedAt int64
 	rngState  uint64
-	pending   trace.Instr
-	hasPend   bool
 }
 
 // NewThread wraps a generator as a schedulable thread of the given team.
@@ -204,22 +202,6 @@ func (t *Thread) randBits() uint64 {
 	return z >> 11
 }
 
-// next returns the thread's next record, honoring a previously deferred one.
-func (t *Thread) next(in *trace.Instr) bool {
-	if t.hasPend {
-		*in = t.pending
-		t.hasPend = false
-		return true
-	}
-	return t.Gen.Next(in)
-}
-
-// defer_ pushes a record back so it is re-delivered by the next call.
-func (t *Thread) defer_(in trace.Instr) {
-	t.pending = in
-	t.hasPend = true
-}
-
 // Context is one hardware context (logical processor). It owns a run queue
 // of application threads and issues for whichever is mounted.
 type Context struct {
@@ -239,13 +221,6 @@ type Context struct {
 	lastFetchPg  uint64
 	fetchPrimed  bool
 	barrierBlock bool // mounted thread is barrier-blocked and nothing else is runnable
-
-	// scratch is the per-context instruction buffer Step decodes into.
-	// `go build -gcflags=-m` reports that Thread.next's argument does not
-	// escape (Gen is a concrete *trace.Generator), so a Step-local Instr
-	// would stay on the stack as well; the buffer stays here because
-	// moving it is a performance change, to be measured on its own.
-	scratch trace.Instr
 }
 
 // Core is one physical core with its shared structures.
@@ -352,7 +327,6 @@ func (x *Context) Clear() {
 	x.lastFetchPg = 0
 	x.fetchPrimed = false
 	x.barrierBlock = false
-	x.scratch = trace.Instr{}
 }
 
 // switchTo rotates to the next thread that is not Done, preferring runnable
@@ -828,16 +802,20 @@ func (c *Core) Step(now int64) bool {
 	}
 
 	issued := 0
+	gen := t.Gen
 	for issued < width {
-		in := &x.scratch
-		if !t.next(in) {
-			t.State = ThreadDone
-			t.FinishedAt = now
-			x.done++
-			x.switchTo(now)
-			return issued > 0
-		}
-		if in.Kind == trace.Barrier {
+		// One dispatch on the record kind per instruction: NextKind yields
+		// the kind and PC, and the switch below draws the operands
+		// (Addr, Branch) in the record's turn.
+		kind, pc := gen.NextKind()
+		if kind >= trace.Barrier {
+			if kind == trace.End {
+				t.State = ThreadDone
+				t.FinishedAt = now
+				x.done++
+				x.switchTo(now)
+				return issued > 0
+			}
 			released := arriveBarrier(t, now, c.Lat.BarrierRelease)
 			if released {
 				*c.relEpoch++
@@ -849,7 +827,7 @@ func (c *Core) Step(now int64) bool {
 			return issued > 0
 		}
 
-		stall := c.fetch(x, t, now, in.PC)
+		stall := c.fetch(x, t, now, pc)
 		t.Counters.Inc(counters.Instructions)
 		t.retired++
 		if t.WarmupInstr > 0 && t.WarmedAt < 0 && t.retired >= t.WarmupInstr {
@@ -858,16 +836,16 @@ func (c *Core) Step(now int64) bool {
 		}
 		issued++
 
-		switch in.Kind {
-		case trace.Compute:
-			// No extra latency beyond the issue slot.
+		// A Compute record costs its issue slot only.
+		switch kind {
 		case trace.Load:
-			stall += c.memorySubsystem(x, t, now, in.Addr, false)
+			stall += c.memorySubsystem(x, t, now, gen.Addr(), false)
 		case trace.Store:
-			stall += c.memorySubsystem(x, t, now, in.Addr, true)
+			stall += c.memorySubsystem(x, t, now, gen.Addr(), true)
 		case trace.Branch:
 			t.Counters.Inc(counters.BranchRetired)
-			out := c.BP.Resolve(in.PC, in.Taken, in.Target)
+			taken, target := gen.Branch()
+			out := c.BP.Resolve(pc, taken, target)
 			if out.Mispredicted {
 				t.Counters.Inc(counters.BranchMispredicted)
 				stall += c.Lat.Mispredict
@@ -875,7 +853,7 @@ func (c *Core) Step(now int64) bool {
 				// micro-ops occupied the trace-cache fill and issue
 				// structures the sibling also uses.
 				c.pollute(x, now, c.Lat.Mispredict/2)
-			} else if out.BTBMiss && in.Taken {
+			} else if out.BTBMiss && taken {
 				stall += c.Lat.BTBMiss
 			}
 		}
@@ -1180,13 +1158,13 @@ func (x *Context) stallNoCount(now, n int64) {
 func (x *Context) Prewarm() {
 	c := x.Core
 	for _, t := range x.runq {
-		for _, a := range t.Gen.WarmSet() {
+		t.Gen.ForWarmLines(func(a uint64) {
 			c.L2.Fill(a, false, false)
-		}
-		for _, a := range t.Gen.HotSet() {
+		})
+		t.Gen.ForHotLines(func(a uint64) {
 			c.L2.Fill(a, false, false)
 			c.L1D.Fill(a, false, false)
-		}
+		})
 	}
 }
 

@@ -54,22 +54,6 @@ func TestNewTeamPanicsOnZero(t *testing.T) {
 	NewTeam(0)
 }
 
-func TestThreadDefer(t *testing.T) {
-	l, err := mem.NewLayout(1, 1, 4096, 1<<20, 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	th := newThread(t, "t", l, 0, 100, NewTeam(1))
-	var a, b trace.Instr
-	if !th.next(&a) {
-		t.Fatal("no first instruction")
-	}
-	th.defer_(a)
-	if !th.next(&b) || b != a {
-		t.Fatal("deferred instruction not redelivered")
-	}
-}
-
 func TestThreadRandDeterministicPerName(t *testing.T) {
 	l, _ := mem.NewLayout(1, 1, 4096, 1<<20, 1<<20)
 	t1 := newThread(t, "same", l, 0, 10, NewTeam(1))

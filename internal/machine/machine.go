@@ -220,7 +220,6 @@ func New(cfg Config) (*Machine, error) {
 			for t, x := range core.Contexts {
 				x.Label = fmt.Sprintf("P%dC%dT%d", p, c, t)
 				m.contexts = append(m.contexts, x)
-				_ = t
 			}
 			chip.Cores = append(chip.Cores, core)
 			m.cores = append(m.cores, core)
@@ -787,6 +786,10 @@ func (m *Machine) Reset() {
 func (m *Machine) ResetHard() {
 	m.clock = 0
 	m.sampler = nil
+	// The solo-window scratch keeps the last window's threads in its
+	// backing array; a parked machine must not hold them (and through
+	// them their generators and code-site tables) alive.
+	clear(m.soloAcc[:cap(m.soloAcc)])
 	m.Mem.Reset()
 	for _, ch := range m.Chips {
 		ch.FSB.Reset()

@@ -114,3 +114,43 @@ func TestPoolGetPutNoAllocs(t *testing.T) {
 		t.Fatalf("pool Get/Put allocates %.1f objects per cycle, want 0", avg)
 	}
 }
+
+// TestPutDropsThreads checks that a machine parked in the pool holds no
+// thread of its last run: the solo-window scratch would otherwise keep
+// those threads, their generators and their programs' code-site tables
+// alive for as long as the machine stays pooled.
+func TestPutDropsThreads(t *testing.T) {
+	p := NewPool()
+	m, err := p.Get(PaxvilleSMP())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.DisableAll()
+	l, err := mem.NewLayout(1, 4, 8192, 1<<20, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	team := cpu.NewTeam(4)
+	for tid, c := range [][3]int{{0, 0, 0}, {0, 1, 0}, {1, 0, 0}, {1, 1, 0}} {
+		addThread(t, m, c[0], c[1], c[2], "t", l, tid, 8000, team)
+	}
+	if _, err := m.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	held := func() int {
+		n := 0
+		for _, th := range m.soloAcc[:cap(m.soloAcc)] {
+			if th != nil {
+				n++
+			}
+		}
+		return n
+	}
+	if held() == 0 {
+		t.Fatal("the run entered no solo window with off-core threads; the test checks nothing")
+	}
+	p.Put(m)
+	if n := held(); n != 0 {
+		t.Fatalf("pooled machine still references %d threads of its last run", n)
+	}
+}

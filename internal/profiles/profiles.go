@@ -90,10 +90,11 @@ func (p Profile) Layout(asid uint64, threads int) (*mem.Layout, error) {
 	return mem.NewLayout(asid, threads, p.CodeBytes, p.SharedBytes, p.PrivBytes)
 }
 
-// Generator builds thread tid's stream for a run with the given thread
-// count and work scale. The per-thread chunk length shrinks with the thread
+// Program prepares the streams of one run of the benchmark with the given
+// thread count and work scale; its threads share one code-site table (see
+// trace.Program). The per-thread chunk length shrinks with the thread
 // count, as OpenMP static scheduling divides each parallel loop.
-func (p Profile) Generator(layout *mem.Layout, tid, threads int, scale float64, seed uint64) (*trace.Generator, error) {
+func (p Profile) Program(layout *mem.Layout, threads int, scale float64, seed uint64) (*trace.Program, error) {
 	if threads <= 0 {
 		return nil, fmt.Errorf("profiles %s: threads %d", p.Name, threads)
 	}
@@ -109,7 +110,17 @@ func (p Profile) Generator(layout *mem.Layout, tid, threads int, scale float64, 
 	if budget < 1 {
 		budget = 1
 	}
-	return trace.NewGenerator(params, layout, tid, budget, seed)
+	return trace.NewProgram(params, layout, budget, seed)
+}
+
+// Generator builds thread tid's stream for a run with the given thread
+// count and work scale: Program and Thread in one call.
+func (p Profile) Generator(layout *mem.Layout, tid, threads int, scale float64, seed uint64) (*trace.Generator, error) {
+	prog, err := p.Program(layout, threads, scale, seed)
+	if err != nil {
+		return nil, err
+	}
+	return prog.Thread(tid)
 }
 
 const (

@@ -8,6 +8,7 @@ package tlb
 
 import (
 	"fmt"
+	"math/bits"
 
 	"xeonomp/internal/units"
 )
@@ -28,6 +29,9 @@ func (c Config) Validate() error {
 	if !units.IsPow2(int64(c.Entries / c.Assoc)) {
 		return fmt.Errorf("tlb %s: set count %d not a power of two", c.Name, c.Entries/c.Assoc)
 	}
+	if c.Assoc > maxAssoc {
+		return fmt.Errorf("tlb %s: associativity %d exceeds %d ways", c.Name, c.Assoc, maxAssoc)
+	}
 	if c.PageSize <= 0 || !units.IsPow2(c.PageSize) {
 		return fmt.Errorf("tlb %s: page size %d not a positive power of two", c.Name, c.PageSize)
 	}
@@ -38,10 +42,16 @@ func (c Config) Validate() error {
 // with pageShift ≥ 12, so no reachable translation can collide with it.
 const invalidVPN = ^uint64(0)
 
+// maxAssoc bounds the ways per set: a set scan returns its matches as the
+// bits of one uint64.
+const maxAssoc = 64
+
 // TLB is one translation buffer. Entry state is structure-of-arrays with a
 // sentinel VPN for empty slots, so the Access hot path scans one contiguous
 // run of uint64s (a single hardware cache line for a 4-way set) with no
-// separate validity check.
+// separate validity check. The scan compares every way into a match mask
+// (see match) rather than leaving at the first match, whose position is
+// random from one access to the next.
 type TLB struct {
 	cfg       Config
 	vpns      []uint64 // invalidVPN when the slot is empty
@@ -82,29 +92,56 @@ func (t *TLB) setBase(vpn uint64) uint64 {
 	return (vpn & (t.numSets - 1)) * t.assoc
 }
 
+// match compares every way of the set at base against vpn and returns two
+// masks, with bit i for way i: the ways that hold vpn and the empty ways.
+// There is no early exit and no branch on a comparison. A valid VPN is
+// held by at most one way. A caller that uses one mask pays for one: match
+// inlines, and the compiler drops the other mask's work.
+func (t *TLB) match(base, vpn uint64) (hit, free uint64) {
+	vpns := t.vpns[base : base+t.assoc]
+	for i := len(vpns) - 1; i >= 0; i-- {
+		v := vpns[i]
+		hit = hit<<1 | b2u(v == vpn)
+		free = free<<1 | b2u(v == invalidVPN)
+	}
+	return hit, free
+}
+
+// b2u is 1 for true and 0 for false; the compiler emits a flag set and a
+// zero-extension, not a branch.
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // Access translates addr: it returns true on a TLB hit. On a miss the
 // translation is installed (the page walk itself is charged by the pipeline
-// model), evicting the LRU entry of the set.
+// model) in the first empty way of the set, or else over its least
+// recently used entry.
 func (t *TLB) Access(addr uint64) bool {
 	vpn := t.Page(addr)
 	base := t.setBase(vpn)
 	t.clock++
-	vpns := t.vpns[base : base+t.assoc]
-	for i := range vpns {
-		if vpns[i] == vpn {
-			t.stamps[base+uint64(i)] = t.clock
-			return true
-		}
+	m, free := t.match(base, vpn)
+	if m != 0 {
+		t.stamps[base+uint64(bits.TrailingZeros64(m))] = t.clock
+		return true
 	}
-	victim := base
-	for j := base; j < base+t.assoc; j++ {
-		if t.vpns[j] == invalidVPN {
-			victim = j
-			break
+	var victim uint64
+	if free != 0 {
+		victim = base + uint64(bits.TrailingZeros64(free))
+	} else {
+		// Min scan by conditional moves; of equal stamps the first wins.
+		stamps := t.stamps[base : base+t.assoc]
+		way, oldest := 0, stamps[0]
+		for i, s := range stamps {
+			if s < oldest {
+				way, oldest = i, s
+			}
 		}
-		if t.stamps[j] < t.stamps[victim] {
-			victim = j
-		}
+		victim = base + uint64(way)
 	}
 	t.vpns[victim] = vpn
 	t.stamps[victim] = t.clock
@@ -115,14 +152,8 @@ func (t *TLB) Access(addr uint64) bool {
 // altering state.
 func (t *TLB) Probe(addr uint64) bool {
 	vpn := t.Page(addr)
-	base := t.setBase(vpn)
-	vpns := t.vpns[base : base+t.assoc]
-	for i := range vpns {
-		if vpns[i] == vpn {
-			return true
-		}
-	}
-	return false
+	m, _ := t.match(t.setBase(vpn), vpn)
+	return m != 0
 }
 
 // Flush invalidates all entries (e.g. on a simulated context switch with

@@ -33,6 +33,7 @@ const (
 	Store
 	Branch
 	Barrier // end of a parallel chunk; the context must synchronize with its team
+	End     // the stream is exhausted (NextKind only; Next returns false instead)
 )
 
 // String names the record kind.
@@ -48,6 +49,8 @@ func (k Kind) String() string {
 		return "branch"
 	case Barrier:
 		return "barrier"
+	case End:
+		return "end"
 	default:
 		return fmt.Sprintf("kind(%d)", uint8(k))
 	}
@@ -173,17 +176,20 @@ func (r *rng) bits() uint64 {
 	return r.next() >> 11
 }
 
+// b2u is 1 for true and 0 for false, without a branch.
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // threshold converts probability p to the integer bound q with
 // float() < p ⟺ bits() < q. The division in float() is exact (power of
 // two), so the comparison holds iff the draw is below ⌈p·2^53⌉; for
 // integral p·2^53 the strict compare makes the same bound right.
 func threshold(p float64) uint64 {
 	return uint64(math.Ceil(p * (1 << 53)))
-}
-
-// below returns a uniform value in [0,n). n must be positive.
-func (r *rng) below(n uint64) uint64 {
-	return r.next() % n
 }
 
 // divisor precomputes an exact remainder-by-constant: rem(x) == x%n for
@@ -224,11 +230,81 @@ func (d divisor) rem(x uint64) uint64 {
 	return r
 }
 
+// Program is what the threads of one program share: the parameters, the
+// address-space layout, the instruction budget and seed of each thread,
+// and the site table that classifies every 4-byte slot of the code region.
+// Instruction kinds are a pure function of the PC (see pcMix), so the
+// table is computed once per program and the per-instruction
+// classification is one load.
+type Program struct {
+	p      Params
+	layout *mem.Layout
+	budget int64
+	seed   uint64
+	sites  []uint8 // one site code per 4-byte slot of layout.Code
+}
+
+// Site codes: the record kind of an instruction slot, with siteData set on
+// a data-dependent branch site. siteLoop marks the current record as a
+// loop-back branch, a role of the slot's position in its window rather
+// than of the slot itself.
+const (
+	siteKindMask = 0x7
+	siteData     = 0x8
+	siteLoop     = 0x10
+)
+
+// NewProgram prepares the streams of a program with the given layout:
+// each thread retires budget instructions, and seed makes distinct
+// programs (and repeated trials) reproducible.
+func NewProgram(p Params, layout *mem.Layout, budget int64, seed uint64) (*Program, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	if budget <= 0 {
+		return nil, fmt.Errorf("trace: budget %d", budget)
+	}
+	if win := uint64(p.LoopLen) * 4; layout.Code.Size < win {
+		return nil, fmt.Errorf("trace: code region of %d bytes is shorter than one %d-byte loop window", layout.Code.Size, win)
+	}
+	pr := &Program{p: p, layout: layout, budget: budget, seed: seed}
+	// Kinds by pcMix band: Load below LoadFrac, then Store, then Branch,
+	// the rest Compute; a branch site is data-dependent when a second hash
+	// of its PC falls below DataBranchFrac. The bands compare in the
+	// integer domain (see threshold), which decides exactly as the float
+	// compares would, and the band is the count of bounds above the hash:
+	// kinds are random from slot to slot, and a switch on them would
+	// mispredict on most slots.
+	loadT := threshold(p.LoadFrac)
+	storeT := threshold(p.LoadFrac + p.StoreFrac)
+	branchT := threshold(p.LoadFrac + p.StoreFrac + p.BranchFrac)
+	dataT := threshold(p.DataBranchFrac)
+	bands := [4]uint8{uint8(Compute), uint8(Branch), uint8(Store), uint8(Load)}
+	pr.sites = make([]uint8, (layout.Code.Size+3)/4)
+	for i := range pr.sites {
+		pc := layout.Code.Base + uint64(i)*4
+		r := pcMix(pc)
+		k := bands[(b2u(r < loadT)+b2u(r < storeT)+b2u(r < branchT))&3]
+		if k == uint8(Branch) && pcMix(pc^0xabcd1234) < dataT {
+			k |= siteData
+		}
+		pr.sites[i] = k
+	}
+	return pr, nil
+}
+
 // Generator produces one thread's stream.
+//
+// The stream is read one record at a time: NextKind advances it and
+// returns the record's kind and PC, then the record's operands are drawn
+// in its turn — Addr once for a Load or Store, Branch once for a Branch —
+// before the next NextKind. The operands come from the generator's private
+// RNG, so the draw order is that of the records however the caller
+// interleaves its own work. Next reads a whole record through the same
+// primitives.
 type Generator struct {
 	p      Params
 	layout *mem.Layout
-	tid    int
 	budget int64 // remaining instructions (barriers excluded)
 	rng    rng
 
@@ -257,26 +333,29 @@ type Generator struct {
 	pendBarrier bool
 	dataBranchN uint64
 
+	// The current record: its site code (siteLoop for a loop-back branch)
+	// and PC, for Branch.
+	site uint8
+	cur  uint64
+
 	// Normalized pattern thresholds.
 	hotT, warmT, seqT, strideT float64
 
 	// Hot-path caches, all pure functions of construction-time state (they
 	// consume no RNG, so the emitted stream is byte-identical with or
-	// without them). sites memoizes the per-PC site classification over the
-	// hot code span: kinds are a pure function of the PC, and hot-loop PCs
-	// repeat thousands of times, so the two pcMix hashes per visit were a
-	// measurable slice of a study's wall time.
+	// without them).
+	sites    []uint8    // the program's site table (Program.sites)
+	codeBase uint64     // layout.Code.Base
+	win      uint64     // loop window in bytes, LoopLen*4
 	hotN     uint64     // hotSpan(), computed once
 	coldSpan uint64     // code bytes above the hot span
-	canJump  bool       // the cold-excursion draw in Next is live
+	canJump  bool       // the cold-excursion draw in NextKind is live
 	priv     mem.Region // layout.Private[tid]
 	hotB     uint64     // hot-set size clamped to the private region
 
 	// Exact-remainder reciprocals for the three variable moduli on the
 	// address/jump generation paths (see divisor).
 	hotDiv, shDiv, pvDiv, coldDiv divisor
-
-	sites []uint8 // 0 = not yet classified, else site* constants
 
 	// Integer-domain probability bounds for the per-instruction draws
 	// (see threshold): same RNG consumption, same outcomes, no
@@ -288,41 +367,37 @@ type Generator struct {
 // biasTi is threshold(0.96), the structured-branch taken bias.
 var biasTi = threshold(0.96)
 
-// Site classification codes for the sites memo (0 means "not yet
-// classified", so every real code is non-zero).
-const (
-	siteLoad = iota + 1
-	siteStore
-	siteBranchData  // data-dependent branch site
-	siteBranchPlain // structured, strongly-biased branch site
-	siteCompute
-)
-
 // NewGenerator builds the stream generator for thread tid of a program with
-// the given layout. budget is the number of instructions the thread will
-// retire; seed makes distinct programs (and repeated trials) reproducible.
+// the given layout: NewProgram and Thread in one call, for a thread that
+// shares no site table.
 func NewGenerator(p Params, layout *mem.Layout, tid int, budget int64, seed uint64) (*Generator, error) {
-	if err := p.Validate(); err != nil {
+	pr, err := NewProgram(p, layout, budget, seed)
+	if err != nil {
 		return nil, err
 	}
+	return pr.Thread(tid)
+}
+
+// Thread builds the stream generator for thread tid of the program.
+func (pr *Program) Thread(tid int) (*Generator, error) {
+	p, layout, budget := pr.p, pr.layout, pr.budget
 	if tid < 0 || tid >= layout.Threads() {
 		return nil, fmt.Errorf("trace: tid %d outside layout with %d threads", tid, layout.Threads())
 	}
-	if budget <= 0 {
-		return nil, fmt.Errorf("trace: budget %d", budget)
-	}
 	total := p.HotFrac + p.WarmFrac + p.SeqFrac + p.StrideFrac + p.RandFrac
 	g := &Generator{
-		p:       p,
-		layout:  layout,
-		tid:     tid,
-		budget:  budget,
-		rng:     rng{s: seed ^ (uint64(tid)+1)*0xa0761d6478bd642f},
-		pc:      layout.Code.Base,
-		hotT:    p.HotFrac / total,
-		warmT:   (p.HotFrac + p.WarmFrac) / total,
-		seqT:    (p.HotFrac + p.WarmFrac + p.SeqFrac) / total,
-		strideT: (p.HotFrac + p.WarmFrac + p.SeqFrac + p.StrideFrac) / total,
+		p:        p,
+		layout:   layout,
+		budget:   budget,
+		rng:      rng{s: pr.seed ^ (uint64(tid)+1)*0xa0761d6478bd642f},
+		pc:       layout.Code.Base,
+		hotT:     p.HotFrac / total,
+		warmT:    (p.HotFrac + p.WarmFrac) / total,
+		seqT:     (p.HotFrac + p.WarmFrac + p.SeqFrac) / total,
+		strideT:  (p.HotFrac + p.WarmFrac + p.SeqFrac + p.StrideFrac) / total,
+		sites:    pr.sites,
+		codeBase: layout.Code.Base,
+		win:      uint64(p.LoopLen) * 4,
 	}
 	g.winBase = layout.Code.Base
 	// Static partition of the shared region, mirroring an OpenMP static
@@ -377,7 +452,6 @@ func NewGenerator(p Params, layout *mem.Layout, tid int, budget int64, seed uint
 	if g.hotB == 0 || g.hotB > g.priv.Size {
 		g.hotB = g.priv.Size
 	}
-	g.sites = make([]uint8, g.hotN/4)
 	g.hotTi = threshold(g.hotT)
 	g.warmTi = threshold(g.warmT)
 	g.seqTi = threshold(g.seqT)
@@ -412,17 +486,18 @@ func (g *Generator) startChunk() {
 	}
 }
 
-// pcMix deterministically maps an instruction address to a uniform value in
-// [0,1). Instruction kinds are a pure function of the PC, as in real code:
-// a given instruction is always a load, always a branch, and so on. This is
-// what lets a global-history branch predictor learn the stream — the branch
+// pcMix deterministically maps an instruction address to a uniform 53-bit
+// value, compared against threshold bounds as rng.bits is. Instruction
+// kinds are a pure function of the PC, as in real code: a given
+// instruction is always a load, always a branch, and so on. This is what
+// lets a global-history branch predictor learn the stream — the branch
 // sites repeat every pass over the code loop.
-func pcMix(pc uint64) float64 {
+func pcMix(pc uint64) uint64 {
 	z := pc * 0x9e3779b97f4a7c15
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	z ^= z >> 31
-	return float64(z>>11) / (1 << 53)
+	return z >> 11
 }
 
 // advance moves a cursor by step within region r, wrapping at the end.
@@ -434,7 +509,9 @@ func advance(cur uint64, step uint64, r mem.Region) uint64 {
 	return next
 }
 
-func (g *Generator) dataAddr() uint64 {
+// Addr draws the effective address of the current record, a Load or a
+// Store: call it once per such record, after its NextKind.
+func (g *Generator) Addr() uint64 {
 	r := g.rng.bits()
 	switch {
 	case r < g.hotTi:
@@ -490,131 +567,95 @@ func (g *Generator) hotSpan() uint64 {
 	return hot
 }
 
-// classify derives the site code for pc from its hash. Kinds are a pure
-// function of the PC, so branch sites are stable across passes and a
-// history-based predictor can learn the stream. classify consumes no RNG.
-func (g *Generator) classify(pc uint64) uint8 {
-	r := pcMix(pc)
-	switch {
-	case r < g.p.LoadFrac:
-		return siteLoad
-	case r < g.p.LoadFrac+g.p.StoreFrac:
-		return siteStore
-	case r < g.p.LoadFrac+g.p.StoreFrac+g.p.BranchFrac:
-		// Whether a branch site is data-dependent is also a property of
-		// the site, not of the visit.
-		if pcMix(pc^0xabcd1234) < g.p.DataBranchFrac {
-			return siteBranchData
-		}
-		return siteBranchPlain
-	default:
-		return siteCompute
-	}
+// at returns the kind and PC of the instruction at pc from the site
+// table, and makes it the current record.
+func (g *Generator) at(pc uint64) (Kind, uint64) {
+	st := g.sites[(pc-g.codeBase)>>2]
+	g.site, g.cur = st, pc
+	return Kind(st & siteKindMask), pc
 }
 
-// siteKind returns the site code for pc, memoized over the hot code span.
-// Cold-excursion PCs (above the span) are classified on the fly — they are
-// a fraction of a percent of the stream.
-func (g *Generator) siteKind(pc uint64) uint8 {
-	if off := pc - g.layout.Code.Base; off < g.hotN {
-		i := off >> 2
-		k := g.sites[i]
-		if k == 0 {
-			k = g.classify(pc)
-			g.sites[i] = k
-		}
-		return k
-	}
-	return g.classify(pc)
-}
-
-// emitKind produces a non-loop-back record for the instruction at pc.
-func (g *Generator) emitKind(pc uint64, in *Instr) {
-	switch g.siteKind(pc) {
-	case siteLoad:
-		*in = Instr{Kind: Load, PC: pc, Addr: g.dataAddr()}
-	case siteStore:
-		*in = Instr{Kind: Store, PC: pc, Addr: g.dataAddr()}
-	case siteBranchData:
-		// Data-dependent: repeating pattern plus entropy flips.
+// Branch resolves the current record, a Branch: call it once per such
+// record, after its NextKind. A loop-back branch is taken except when it
+// completes an outer trip of 64 iterations, and targets its window's base.
+// A data-dependent branch follows the repeating DataPattern with
+// DataEntropy of random flips; any other branch is taken with probability
+// 0.96. Both of those target pc+16.
+func (g *Generator) Branch() (taken bool, target uint64) {
+	switch g.site {
+	case siteLoop:
+		return g.loopIter%64 != 0, g.winBase
+	case uint8(Branch) | siteData:
 		pat := g.p.DataPattern
 		if pat == 0 {
 			pat = 0xb6db6db6db6db6db // period-3 "110" pattern
 		}
-		taken := pat>>(g.dataBranchN%64)&1 == 1
+		taken = pat>>(g.dataBranchN%64)&1 == 1
 		g.dataBranchN++
 		if g.p.DataEntropy > 0 && g.rng.bits() < g.entropyTi {
 			taken = g.rng.bits() < 1<<52 // fair coin
 		}
-		*in = Instr{Kind: Branch, PC: pc, Taken: taken, Target: pc + 16}
-	case siteBranchPlain:
-		// Structured non-loop branch: strongly biased taken.
-		taken := g.rng.bits() < biasTi
-		*in = Instr{Kind: Branch, PC: pc, Taken: taken, Target: pc + 16}
+		return taken, g.cur + 16
 	default:
-		*in = Instr{Kind: Compute, PC: pc}
+		// Structured non-loop branch: strongly biased taken.
+		return g.rng.bits() < biasTi, g.cur + 16
 	}
 }
 
-// WarmSet returns the line-aligned addresses of the thread's warm-scan
-// footprint, used by the machine model to pre-establish steady-state cache
-// contents before measurement.
-func (g *Generator) WarmSet() []uint64 {
+// ForWarmLines calls visit with each line-aligned address of the thread's
+// warm-scan footprint, in scan order, once per line. The machine model
+// uses it to pre-establish steady-state cache contents before measurement.
+func (g *Generator) ForWarmLines(visit func(line uint64)) {
 	if g.p.WarmFrac <= 0 {
-		return nil
+		return
 	}
 	step := g.p.WarmStride
 	if step == 0 {
 		step = 192
 	}
 	// cur rises by step > 0, so line never decreases and a repeated line
-	// can only follow itself.
-	var out []uint64
+	// can only follow itself. No line address is odd, so last starts at
+	// one that no line matches.
+	last := ^uint64(0)
 	for cur := g.warmRegion.Base; cur < g.warmRegion.End(); cur += step {
-		if line := cur &^ 63; len(out) == 0 || out[len(out)-1] != line {
-			out = append(out, line)
+		if line := cur &^ 63; line != last {
+			visit(line)
+			last = line
 		}
 	}
-	return out
 }
 
-// HotSet returns the line-aligned addresses of the thread's hot set.
-func (g *Generator) HotSet() []uint64 {
+// ForHotLines calls visit with each line-aligned address of the thread's
+// hot set, in ascending order.
+func (g *Generator) ForHotLines(visit func(line uint64)) {
 	if g.p.HotFrac <= 0 || g.p.HotBytes == 0 {
-		return nil
+		return
 	}
-	priv := g.layout.Private[g.tid]
-	hb := g.p.HotBytes
-	if hb > priv.Size {
-		hb = priv.Size
+	for cur := g.priv.Base; cur < g.priv.Base+g.hotB; cur += 64 {
+		visit(cur &^ 63)
 	}
-	var out []uint64
-	for cur := priv.Base; cur < priv.Base+hb; cur += 64 {
-		out = append(out, cur&^63)
-	}
-	return out
 }
 
-// Next fills in the next record and reports whether one was produced. The
-// stream is a fixed number of barrier-terminated chunks; after the final
-// barrier it returns false forever. Barrier records do not consume budget.
-func (g *Generator) Next(in *Instr) bool {
+// NextKind advances the stream by one record and returns its kind and PC.
+// The stream is a fixed number of barrier-terminated chunks; after the
+// final barrier NextKind returns End forever. Barrier records carry no PC
+// and do not consume budget.
+func (g *Generator) NextKind() (Kind, uint64) {
 	if g.pendBarrier {
 		g.pendBarrier = false
 		g.chunksLeft--
 		if g.chunksLeft > 0 {
 			g.startChunk()
 		}
-		*in = Instr{Kind: Barrier}
-		return true
+		return Barrier, 0
 	}
 	if g.chunksLeft <= 0 {
-		return false
+		return End, 0
 	}
 	if g.chunkLeft <= 0 {
 		// Shouldn't happen (chunks start positive), but terminate cleanly.
 		g.pendBarrier = true
-		return g.Next(in)
+		return g.NextKind()
 	}
 	g.budget--
 	g.chunkLeft--
@@ -623,16 +664,15 @@ func (g *Generator) Next(in *Instr) bool {
 	}
 
 	// Cold excursion in progress: straight-line walk, no loop-backs.
+	pc := g.pc
 	if g.coldLeft > 0 {
-		pc := g.pc
 		g.coldLeft--
 		if g.coldLeft == 0 {
 			g.pc = g.coldResume
 		} else {
 			g.pc += 4
 		}
-		g.emitKind(pc, in)
-		return true
+		return g.at(pc)
 	}
 
 	// Occasionally leave the hot loops for outer/bookkeeping code in the
@@ -640,38 +680,50 @@ func (g *Generator) Next(in *Instr) bool {
 	// ITLB pressure). Cold code is straight-line and never overlaps the
 	// hot loop tiles, so every PC keeps a single role.
 	if g.canJump && g.rng.bits() < g.jumpTi {
-		g.coldResume = g.pc
-		g.pc = g.layout.Code.Base + g.hotN + g.coldDiv.rem(g.rng.next())&^3
-		g.coldLeft = g.p.LoopLen
-		pc := g.pc
-		g.coldLeft--
-		g.pc += 4
-		g.emitKind(pc, in)
-		return true
+		g.coldResume = pc
+		pc = g.codeBase + g.hotN + g.coldDiv.rem(g.rng.next())&^3
+		g.coldLeft = g.p.LoopLen - 1
+		g.pc = pc + 4
+		return g.at(pc)
 	}
 
 	// Hot loop window: the last slot is the loop-back branch, taken except
 	// when the iteration counter completes an outer trip of 64, at which
 	// point execution advances to the next window of the hot region.
-	pc := g.pc
-	win := uint64(g.p.LoopLen) * 4
-	if pc >= g.winBase+win-4 {
+	if pc >= g.winBase+g.win-4 {
 		g.loopIter++
-		taken := g.loopIter%64 != 0
-		if taken {
+		if g.loopIter%64 != 0 {
 			g.pc = g.winBase
 		} else {
-			nb := g.winBase + win
-			if nb+win > g.layout.Code.Base+g.hotN {
-				nb = g.layout.Code.Base
+			nb := g.winBase + g.win
+			if nb+g.win > g.codeBase+g.hotN {
+				nb = g.codeBase
 			}
 			g.winBase = nb
 			g.pc = nb
 		}
-		*in = Instr{Kind: Branch, PC: pc, Taken: taken, Target: g.winBase}
-		return true
+		g.site, g.cur = siteLoop, pc
+		return Branch, pc
 	}
 	g.pc = pc + 4
-	g.emitKind(pc, in)
+	return g.at(pc)
+}
+
+// Next fills in the next record and reports whether one was produced; it
+// is NextKind followed by the record's operand draw. After the final
+// barrier it returns false forever.
+func (g *Generator) Next(in *Instr) bool {
+	k, pc := g.NextKind()
+	switch k {
+	case Load, Store:
+		*in = Instr{Kind: k, PC: pc, Addr: g.Addr()}
+	case Branch:
+		taken, target := g.Branch()
+		*in = Instr{Kind: Branch, PC: pc, Taken: taken, Target: target}
+	case End:
+		return false
+	default:
+		*in = Instr{Kind: k, PC: pc}
+	}
 	return true
 }

@@ -70,6 +70,50 @@ func TestGeneratorErrors(t *testing.T) {
 	if _, err := NewGenerator(bad, l, 0, 100, 1); err == nil {
 		t.Error("invalid params should fail")
 	}
+	// A loop window of 20,000 instructions is 80,000 bytes, more than the
+	// 64 KiB code region holds.
+	long := testParams()
+	long.LoopLen = 20_000
+	if _, err := NewGenerator(long, l, 0, 100, 1); err == nil {
+		t.Error("a loop window longer than the code region should fail")
+	}
+}
+
+func TestKindNames(t *testing.T) {
+	want := []string{"compute", "load", "store", "branch", "barrier", "end", "kind(6)"}
+	for k, w := range want {
+		if got := Kind(k).String(); got != w {
+			t.Errorf("Kind(%d) = %q, want %q", k, got, w)
+		}
+	}
+}
+
+// TestNextKindEndsWithEnd reads a whole stream through NextKind and its
+// operand draws, as the pipeline does: it must end with End after exactly
+// the records Next yields, and keep returning End.
+func TestNextKindEndsWithEnd(t *testing.T) {
+	l := testLayout(t, 1)
+	ref, _ := NewGenerator(testParams(), l, 0, 3000, 4)
+	want := collect(t, ref)
+	g, _ := NewGenerator(testParams(), l, 0, 3000, 4)
+	for i, w := range want {
+		k, pc := g.NextKind()
+		got := Instr{Kind: k, PC: pc}
+		switch k {
+		case Load, Store:
+			got.Addr = g.Addr()
+		case Branch:
+			got.Taken, got.Target = g.Branch()
+		}
+		if got != w {
+			t.Fatalf("record %d: %+v, Next gave %+v", i, got, w)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		if k, pc := g.NextKind(); k != End || pc != 0 {
+			t.Fatalf("after the stream: %v at %#x, want end", k, pc)
+		}
+	}
 }
 
 func collect(t *testing.T, g *Generator) []Instr {
@@ -287,7 +331,8 @@ func TestWarmSetMatchesFootprint(t *testing.T) {
 				want = append(want, line)
 			}
 		}
-		ws := g.WarmSet()
+		var ws []uint64
+		g.ForWarmLines(func(line uint64) { ws = append(ws, line) })
 		if !slices.Equal(ws, want) {
 			t.Errorf("stride %d, hot %d: warm set of %d lines differs from the %d-line reference",
 				row.stride, row.hotBytes, len(ws), len(want))
@@ -304,9 +349,15 @@ func TestHotSetCoversHotBytes(t *testing.T) {
 	l := testLayout(t, 1)
 	p := testParams()
 	g, _ := NewGenerator(p, l, 0, 1000, 1)
-	hs := g.HotSet()
+	var hs []uint64
+	g.ForHotLines(func(line uint64) { hs = append(hs, line) })
 	if len(hs) != int(p.HotBytes/64) {
 		t.Fatalf("hot set %d lines, want %d", len(hs), p.HotBytes/64)
+	}
+	for i, a := range hs {
+		if want := l.Private[0].Base + uint64(i)*64; a != want {
+			t.Fatalf("hot line %d at %#x, want %#x", i, a, want)
+		}
 	}
 }
 
