@@ -55,11 +55,12 @@ ENGINE_PKGS := ./internal/trace ./internal/cache ./internal/tlb ./internal/branc
 bench-engine:
 	$(GO) test -run '^$$' -bench . -benchtime 1x $(ENGINE_PKGS)
 
-# Static analysis: go vet plus the repo's eight analyzers (cmd/xeonlint —
+# Static analysis: go vet plus the repo's seven analyzers (cmd/xeonlint —
 # nondeterminism taint, dimension inference, unit safety, dropped errors,
-# context flow, goroutine leaks, lock ordering, and counter/golden
-# parity). The engine's hot path is guarded by a test instead
-# (TestCellAllocsFlat in internal/core).
+# context flow, goroutine leaks, and lock ordering). The engine's hot
+# path and the counter/golden-schema parity are guarded by tests instead
+# (TestCellAllocsFlat, TestFigure2ReadsEveryMetric, TestEventNames,
+# TestEveryMetricNameIsRegistered).
 # Depends on build so vet and xeonlint share one warm build cache; -v
 # prints per-analyzer wall time so lint-job runtime regressions show up
 # in CI logs.

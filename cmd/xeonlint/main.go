@@ -1,7 +1,7 @@
-// Command xeonlint runs the repo's eight domain-specific static analyzers
+// Command xeonlint runs the repo's seven domain-specific static analyzers
 // (see internal/analysis) over the module: nondeterminism taint,
 // dimension inference, unit safety, dropped errors, context flow,
-// goroutine leaks, lock ordering, and counter/golden-schema parity.
+// goroutine leaks, and lock ordering.
 //
 // Usage:
 //

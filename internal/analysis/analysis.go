@@ -5,11 +5,11 @@
 // metric only after the drift has happened; the analyzers here move the
 // invariants that gate depends on to compile time. Since PR 4 the package
 // is a dataflow engine, not just per-file AST walks: a Program computes
-// shared Facts (function index, module-wide call graph, field-use
-// relation — see facts.go) that the interprocedural passes solve their
-// fixed points over, plus shared concurrency summaries (may-block,
-// lock-acquisition, WaitGroup-join facts — see conc.go).
-// Eight analyzers guard the promises the reproduction makes, each proven
+// shared Facts (function index and module-wide call graph — see
+// facts.go) that the interprocedural passes solve their fixed points
+// over, plus shared concurrency summaries (may-block, lock-acquisition,
+// WaitGroup-join facts — see conc.go).
+// Seven analyzers guard the promises the reproduction makes, each proven
 // against a seeded bug of its class by TestMutationCorpus:
 //
 //   - taint: no wall clock, no unseeded math/rand, no map-iteration
@@ -36,13 +36,14 @@
 //     a held lock (directly or through a callee), no lock held across a
 //     blocking operation; subsumes the retired lockcheck patterns (locks
 //     copied by value, loop goroutines writing captured state unlocked)
-//   - counterparity: every counters.Metrics column and counters.Event name
-//     has a renderer/exporter twin, so golden JSON schemas cannot silently
-//     lose a column
 //
-// The engine's hot path is guarded by measurement instead: a cell's
-// allocation count must not grow with its instruction budget
-// (internal/core's TestCellAllocsFlat).
+// Other invariants are guarded by tests of the running code instead: a
+// cell's allocation count must not grow with its instruction budget
+// (internal/core's TestCellAllocsFlat), every counters.Metrics field
+// must reach the figure2 artifact (TestFigure2ReadsEveryMetric), every
+// counters.Event has one unique name (TestEventNames), and every
+// obs.Metric* constant is registered (internal/shard's
+// TestEveryMetricNameIsRegistered).
 //
 // Findings can be suppressed per line with
 //
@@ -59,10 +60,8 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 
 	"xeonomp/internal/obs"
 )
@@ -99,28 +98,13 @@ type Package struct {
 type Program struct {
 	Fset     *token.FileSet
 	Packages []*Package
-	// Workers bounds the per-package fan-out inside Run/RunTimed; zero
-	// means GOMAXPROCS. One worker reproduces the old serial driver.
-	Workers int
 
-	factsMu sync.Mutex
-	facts   *Facts // built on first Facts() call, shared by every analyzer
-}
-
-// ByName returns the loaded packages with the given package name.
-func (p *Program) ByName(name string) []*Package {
-	var out []*Package
-	for _, pkg := range p.Packages {
-		if pkg.Name == name {
-			out = append(out, pkg)
-		}
-	}
-	return out
+	facts *Facts // built on first Facts() call, shared by every analyzer
 }
 
 // Analyzer is one lint pass. Check sees a single package but receives the
-// whole Program so cross-package analyzers (counterparity) can consult
-// their counterpart packages.
+// whole Program, whose shared Facts the interprocedural analyzers solve
+// over.
 type Analyzer interface {
 	// Name is the stable identifier used in reports and ignore directives.
 	Name() string
@@ -140,7 +124,6 @@ func Analyzers() []Analyzer {
 		&CtxFlow{},
 		&GoLeak{},
 		&LockOrder{},
-		&CounterParity{},
 	}
 }
 
@@ -246,46 +229,15 @@ func (p *Program) RunTimed(analyzers []Analyzer) ([]Diagnostic, []AnalyzerTiming
 		}
 	}
 
-	// Per-package fan-out: each analyzer still runs to completion before
-	// the next starts (so -v wall times stay attributable to one
-	// analyzer), but its Check calls spread over a bounded worker pool.
-	// Results are collected per package index and merged in package
-	// order, then sorted — the output is byte-identical to a serial run.
-	// The module-wide fixed points the analyzers solve lazily on first
-	// Check are serialized by the Facts mutex, so concurrent first calls
-	// build each layer exactly once.
-	workers := p.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(p.Packages) {
-		workers = len(p.Packages)
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	// Each analyzer runs over every package, in order, before the next
+	// starts, so -v wall times stay attributable to one analyzer. The
+	// module-wide fixed points an analyzer needs are solved on its first
+	// Check and cached on the shared Facts.
 	var timings []AnalyzerTiming
 	for _, a := range analyzers {
 		t := obs.StartTimer()
-		perPkg := make([][]Diagnostic, len(p.Packages))
-		jobs := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range jobs {
-					perPkg[i] = a.Check(p, p.Packages[i])
-				}
-			}()
-		}
-		for i := range p.Packages {
-			jobs <- i
-		}
-		close(jobs)
-		wg.Wait()
-		for _, pkgDiags := range perPkg {
-			for _, d := range pkgDiags {
+		for _, pkg := range p.Packages {
+			for _, d := range a.Check(p, pkg) {
 				suppressed := false
 				for _, ig := range ignores[d.Pos.Filename] {
 					if ig.matches(d.Analyzer, d.Pos.Line) {

@@ -133,38 +133,6 @@ func TestLockOrder(t *testing.T) {
 	checkFixture(t, "lockorder", []analysis.Analyzer{&analysis.LockOrder{}})
 }
 
-func TestCounterParity(t *testing.T) {
-	checkFixture(t, "counterparity", []analysis.Analyzer{&analysis.CounterParity{}})
-}
-
-// TestParallelRunDeterministic pins the parallel driver's contract:
-// whatever the worker count, the merged, sorted diagnostics are
-// identical — per-package fan-out must not leak scheduling order into
-// output.
-func TestParallelRunDeterministic(t *testing.T) {
-	run := func(workers int) []analysis.Diagnostic {
-		prog, _ := loadFixture(t, "taint")
-		prog.Workers = workers
-		return prog.Run(analysis.Analyzers())
-	}
-	want := run(1)
-	if len(want) == 0 {
-		t.Fatal("fixture produced no diagnostics to compare")
-	}
-	for _, workers := range []int{2, 4, 8} {
-		got := run(workers)
-		if len(got) != len(want) {
-			t.Fatalf("workers=%d: %d diagnostics, want %d", workers, len(got), len(want))
-		}
-		for i := range want {
-			if got[i].Pos != want[i].Pos || got[i].Analyzer != want[i].Analyzer ||
-				got[i].Message != want[i].Message {
-				t.Errorf("workers=%d: diagnostic %d differs:\n got %v\nwant %v", workers, i, got[i], want[i])
-			}
-		}
-	}
-}
-
 // TestIgnoreDirectives pins the whole suppression lifecycle on one
 // fixture: a valid ignore above the line and one on the line both
 // suppress, a stale ignore is reported as unused, and the two malformed
@@ -199,15 +167,15 @@ func TestIgnoreDirectives(t *testing.T) {
 	}
 }
 
-// TestAnalyzersRegistered pins the registry: eight analyzers, stable
+// TestAnalyzersRegistered pins the registry: seven analyzers, stable
 // unique names, non-empty docs — the contract -list and the ignore
 // grammar rely on.
 func TestAnalyzersRegistered(t *testing.T) {
 	as := analysis.Analyzers()
-	if len(as) != 8 {
-		t.Fatalf("got %d analyzers, want 8", len(as))
+	if len(as) != 7 {
+		t.Fatalf("got %d analyzers, want 7", len(as))
 	}
-	want := []string{"taint", "dimension", "unitsafety", "errdrop", "ctxflow", "goleak", "lockorder", "counterparity"}
+	want := []string{"taint", "dimension", "unitsafety", "errdrop", "ctxflow", "goleak", "lockorder"}
 	for i, a := range as {
 		if a.Name() != want[i] {
 			t.Errorf("analyzer %d is %q, want %q", i, a.Name(), want[i])
@@ -254,6 +222,45 @@ func TestLoaderSkipsNestedModules(t *testing.T) {
 	}
 }
 
+// TestLoaderSelectsFiles pins the loader's file selection: the go tool's
+// rules for linux/amd64 with cgo off, minus _test.go files. Every file
+// that must be left out refers to an undefined name, so loading it would
+// fail to type-check.
+func TestLoaderSelectsFiles(t *testing.T) {
+	root := t.TempDir()
+	const excluded = "package sel\n\nvar _ = undefinedName\n"
+	for name, src := range map[string]string{
+		"go.mod":       "module sel\n",
+		"a.go":         "package sel\n\nvar A = 1\n",
+		"b_linux.go":   "package sel\n\nvar B = A\n",
+		"c_windows.go": excluded,
+		"d_arm64.go":   excluded,
+		"e.go":         "//go:build ignore\n\n" + excluded,
+		"f.go":         "//go:build !linux\n\n" + excluded,
+		"_g.go":        excluded,
+		".h.go":        excluded,
+		"i_test.go":    excluded,
+	} {
+		if err := os.WriteFile(filepath.Join(root, name), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	prog, err := (&analysis.Loader{Root: root}).Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(prog.Packages) != 1 {
+		t.Fatalf("loaded %d packages, want 1", len(prog.Packages))
+	}
+	var got []string
+	for _, f := range prog.Packages[0].Files {
+		got = append(got, filepath.Base(prog.Fset.Position(f.Package).Filename))
+	}
+	if strings.Join(got, " ") != "a.go b_linux.go" {
+		t.Errorf("loaded files %v, want [a.go b_linux.go]", got)
+	}
+}
+
 // TestSortDiagnostics pins the total diagnostic order -json output and
 // the CI problem matcher depend on: file, line, column, analyzer,
 // message — every tie broken, so shuffled input always lands in one
@@ -266,8 +273,8 @@ func TestSortDiagnostics(t *testing.T) {
 		return d
 	}
 	want := []analysis.Diagnostic{
-		mk("a.go", 1, 1, "counterparity", "analyzer order is lexical, not registry"),
 		mk("a.go", 1, 1, "ctxflow", "first"),
+		mk("a.go", 1, 1, "dimension", "analyzer order is lexical, not registry"),
 		mk("a.go", 1, 1, "errdrop", "same spot, later analyzer"),
 		mk("a.go", 1, 1, "errdrop", "same spot, same analyzer, later message"),
 		mk("a.go", 1, 2, "ctxflow", "later column"),

@@ -55,8 +55,6 @@ type concFacts struct {
 
 // concFor solves the concurrency summaries once and caches them.
 func (f *Facts) concFor() *concFacts {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	if f.conc != nil {
 		return f.conc
 	}

@@ -149,8 +149,6 @@ type dimFacts struct {
 // bottom-up over the call graph until stable so chains of helpers
 // propagate (Latency returns Nanoseconds()/n returns ns).
 func (f *Facts) dimsFor() *dimFacts {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	if f.dims != nil {
 		return f.dims
 	}

@@ -3,17 +3,15 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
-	"sync"
 )
 
 // This file is the dataflow engine's shared substrate. A loaded Program
-// computes one Facts value on demand — a module-wide function index, the
-// static call graph over it, and the cross-package field-use relation —
-// and every analyzer consumes those facts instead of re-walking the
-// module. The interprocedural passes (taint, dimension) additionally
-// cache their fixed-point results here, so the engine solves each
-// whole-module analysis exactly once per run no matter how many packages
-// Check is called on.
+// computes one Facts value on demand — a module-wide function index and
+// the static call graph over it — and every analyzer consumes those
+// facts instead of re-walking the module. The interprocedural passes
+// (taint, dimension) additionally cache their fixed-point results here,
+// so the engine solves each whole-module analysis exactly once per run
+// no matter how many packages Check is called on.
 
 // FuncInfo is one declared function or method of the program, joined with
 // the package it lives in and its body.
@@ -36,8 +34,8 @@ type Body struct {
 	Block *ast.BlockStmt
 }
 
-// Facts is the shared state the analyzers build on: the function index,
-// the call graph, and the field-use relation, computed once per Program.
+// Facts is the shared state the analyzers build on: the function index
+// and the call graph, computed once per Program.
 type Facts struct {
 	prog *Program
 
@@ -55,19 +53,7 @@ type Facts struct {
 	Callees map[*types.Func][]*types.Func
 	Callers map[*types.Func][]*types.Func
 
-	// FieldUses maps each struct field to the packages that read it via a
-	// selector — the relation counterparity checks Metrics columns
-	// against.
-	FieldUses map[*types.Var]map[*Package]bool
-
 	bodies map[*Package][]Body
-
-	// mu serializes the lazy module-wide solves below: with per-package
-	// analyzer runs fanned out over a worker pool, the first Check calls
-	// of one analyzer race to build its fixed point. Each getter
-	// double-checks under the lock; after a layer is built it is
-	// read-only and needs no further synchronization.
-	mu sync.Mutex
 
 	taint *taintFacts // solved lazily by the taint analyzer
 	dims  *dimFacts   // solved lazily by the dimension analyzer
@@ -75,10 +61,8 @@ type Facts struct {
 }
 
 // Facts returns the program's shared analysis facts, building them on
-// first use. Safe for concurrent use by the parallel analyzer driver.
+// first use.
 func (p *Program) Facts() *Facts {
-	p.factsMu.Lock()
-	defer p.factsMu.Unlock()
 	if p.facts == nil {
 		p.facts = buildFacts(p)
 	}
@@ -103,12 +87,11 @@ func (f *Facts) PkgFuncs(pkg *Package) []*FuncInfo {
 
 func buildFacts(p *Program) *Facts {
 	f := &Facts{
-		prog:      p,
-		FuncOf:    map[*types.Func]*FuncInfo{},
-		Callees:   map[*types.Func][]*types.Func{},
-		Callers:   map[*types.Func][]*types.Func{},
-		FieldUses: map[*types.Var]map[*Package]bool{},
-		bodies:    map[*Package][]Body{},
+		prog:    p,
+		FuncOf:  map[*types.Func]*FuncInfo{},
+		Callees: map[*types.Func][]*types.Func{},
+		Callers: map[*types.Func][]*types.Func{},
+		bodies:  map[*Package][]Body{},
 	}
 
 	// Function index and top-level bodies, in source order.
@@ -194,31 +177,6 @@ func buildFacts(p *Program) *Facts {
 		visit(fi)
 	}
 	f.Funcs = order
-
-	// Field-use relation: which packages select which struct fields.
-	for _, pkg := range p.Packages {
-		for _, file := range pkg.Files {
-			ast.Inspect(file, func(n ast.Node) bool {
-				sel, ok := n.(*ast.SelectorExpr)
-				if !ok {
-					return true
-				}
-				s, ok := pkg.Info.Selections[sel]
-				if !ok || s.Kind() != types.FieldVal {
-					return true
-				}
-				fld, ok := s.Obj().(*types.Var)
-				if !ok {
-					return true
-				}
-				if f.FieldUses[fld] == nil {
-					f.FieldUses[fld] = map[*Package]bool{}
-				}
-				f.FieldUses[fld][pkg] = true
-				return true
-			})
-		}
-	}
 	return f
 }
 

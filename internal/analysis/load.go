@@ -3,7 +3,7 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
-	"go/build/constraint"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -19,8 +19,10 @@ import (
 // type-checking the imported directory (memoized, in dependency order)
 // and everything else goes through go/types' source importer.
 //
-// Only non-test files are loaded: the analyzers guard what ships, and
-// _test.go files are skipped like any file for another platform.
+// Files are selected by go/build for a pinned linux/amd64 target with
+// cgo off. Only non-test files are loaded: the analyzers guard what
+// ships, and _test.go files are skipped like any file for another
+// platform.
 type Loader struct {
 	// Root is the module root directory (the one holding go.mod).
 	Root string
@@ -114,7 +116,14 @@ func (l *Loader) packageDirs() ([]string, error) {
 			return err
 		}
 		for _, e := range ents {
-			if !e.IsDir() && includeFile(path, e.Name()) {
+			if e.IsDir() {
+				continue
+			}
+			ok, err := includeFile(path, e.Name())
+			if err != nil {
+				return err
+			}
+			if ok {
 				dirs = append(dirs, path)
 				break
 			}
@@ -124,111 +133,25 @@ func (l *Loader) packageDirs() ([]string, error) {
 	return dirs, err
 }
 
-// The lint target platform is pinned so an analyzer run on a developer
-// laptop and the CI lint job see byte-identical file sets: build
-// constraints are evaluated as linux/amd64 regardless of the host.
-const (
-	targetGOOS   = "linux"
-	targetGOARCH = "amd64"
-)
+// buildCtx pins the lint target platform, so an analyzer run on a
+// developer laptop and the CI lint job see the same file set: go/build
+// evaluates filename suffixes and build constraints as the go tool does
+// for linux/amd64 with cgo off, whatever the host.
+var buildCtx = func() build.Context {
+	c := build.Default
+	c.GOOS, c.GOARCH, c.CgoEnabled = "linux", "amd64", false
+	return c
+}()
 
 // includeFile is the single file-selection predicate shared by discovery
-// and loading: .go files, minus editor/backup artifacts, minus _test.go,
-// minus files ruled out by a GOOS/GOARCH filename suffix or a
-// //go:build / +build constraint.
-func includeFile(dir, name string) bool {
-	if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") ||
-		strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
-		return false
+// and loading: the .go files go/build would build for the target
+// platform, minus _test.go. A file go/build cannot read or whose
+// constraint is malformed fails the load.
+func includeFile(dir, name string) (bool, error) {
+	if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+		return false, nil
 	}
-	if !fileSuffixOK(name) {
-		return false
-	}
-	src, err := os.ReadFile(filepath.Join(dir, name))
-	if err != nil {
-		return false
-	}
-	return buildTagsOK(src)
-}
-
-// knownOS and knownArch recognize the implicit filename constraints
-// (foo_windows.go, foo_arm64.go, foo_windows_arm64.go).
-var knownOS = map[string]bool{
-	"aix": true, "android": true, "darwin": true, "dragonfly": true,
-	"freebsd": true, "illumos": true, "ios": true, "js": true,
-	"linux": true, "netbsd": true, "openbsd": true, "plan9": true,
-	"solaris": true, "wasip1": true, "windows": true,
-}
-
-var knownArch = map[string]bool{
-	"386": true, "amd64": true, "arm": true, "arm64": true,
-	"loong64": true, "mips": true, "mips64": true, "mips64le": true,
-	"mipsle": true, "ppc64": true, "ppc64le": true, "riscv64": true,
-	"s390x": true, "wasm": true,
-}
-
-// fileSuffixOK applies the go/build filename-suffix rules against the
-// pinned target platform.
-func fileSuffixOK(name string) bool {
-	name = strings.TrimSuffix(name, ".go")
-	parts := strings.Split(name, "_")
-	if len(parts) < 2 {
-		return true
-	}
-	last := parts[len(parts)-1]
-	if knownArch[last] {
-		if last != targetGOARCH {
-			return false
-		}
-		if len(parts) >= 3 && knownOS[parts[len(parts)-2]] {
-			return parts[len(parts)-2] == targetGOOS
-		}
-		return true
-	}
-	if knownOS[last] {
-		return last == targetGOOS
-	}
-	return true
-}
-
-// buildTagsOK evaluates the build constraints in a file header against
-// the pinned target platform. A //go:build line takes precedence over
-// legacy +build lines, matching the go tool.
-func buildTagsOK(src []byte) bool {
-	tagOK := func(tag string) bool {
-		switch tag {
-		case targetGOOS, targetGOARCH, "gc", "unix":
-			return true
-		}
-		// Release tags: the toolchain building this module satisfies the
-		// module's own go directive, so accept any go1.x.
-		return strings.HasPrefix(tag, "go1.")
-	}
-	var plusLines []constraint.Expr
-	for _, line := range strings.Split(string(src), "\n") {
-		trimmed := strings.TrimSpace(line)
-		if strings.HasPrefix(trimmed, "package ") {
-			break
-		}
-		switch {
-		case constraint.IsGoBuild(trimmed):
-			expr, err := constraint.Parse(trimmed)
-			if err != nil {
-				return false
-			}
-			return expr.Eval(tagOK)
-		case constraint.IsPlusBuild(trimmed):
-			if expr, err := constraint.Parse(trimmed); err == nil {
-				plusLines = append(plusLines, expr)
-			}
-		}
-	}
-	for _, expr := range plusLines {
-		if !expr.Eval(tagOK) {
-			return false
-		}
-	}
-	return true
+	return buildCtx.MatchFile(dir, name)
 }
 
 // importPath maps a directory under Root to its import path.
@@ -293,10 +216,16 @@ func (l *Loader) loadLocal(path string) (*Package, error) {
 	var files []*ast.File
 	var names []string
 	for _, e := range ents {
-		if e.IsDir() || !includeFile(dir, e.Name()) {
+		if e.IsDir() {
 			continue
 		}
-		names = append(names, e.Name())
+		ok, err := includeFile(dir, e.Name())
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			names = append(names, e.Name())
+		}
 	}
 	sort.Strings(names)
 	pkgName := ""

@@ -76,11 +76,6 @@ func (a *LockOrder) Check(prog *Program, pkg *Package) []Diagnostic {
 // solve runs the module-wide held-lock walk and cycle detection once per
 // Program, caching the diagnostics on the shared concurrency facts.
 func (a *LockOrder) solve(prog *Program, cf *concFacts) {
-	// Serialized by the shared facts mutex: with per-package Check calls
-	// fanned out in parallel, the first two may race to solve.
-	f := prog.Facts()
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	if cf.lockSolved {
 		return
 	}

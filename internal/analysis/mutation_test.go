@@ -12,12 +12,10 @@ import (
 )
 
 // mutant is one seeded bug in a copy of the module: the analyzer meant
-// to catch it, the module-relative file it lives in, and its source.
-// Without an anchor, src is a new file of a real package. With one, src
-// is inserted right after the anchor's only occurrence in an existing
-// file — used only where the bug must sit inside an existing body.
+// to catch it, and the module-relative path and source of the new file
+// of a real package it lives in.
 type mutant struct {
-	analyzer, file, anchor, src string
+	analyzer, file, src string
 }
 
 // corpus holds one mutant per analyzer, each the bug class that analyzer
@@ -100,9 +98,6 @@ func lockBA(a *ledgerA, b *ledgerB) {
 	a.mu.Unlock()
 }
 `},
-	{analyzer: "counterparity", file: "internal/counters/counters.go",
-		anchor: "\tCPI            float64 // cycles / instructions retired\n",
-		src:    "\tUnrendered     float64 // a column no renderer or exporter reads\n"},
 }
 
 // TestMutationCorpus is the lint tier's proof of work. It copies the
@@ -164,35 +159,19 @@ func TestMutationCorpus(t *testing.T) {
 }
 
 // inject writes the mutant into the module copy at root and returns the
-// 1-based line span it occupies. A missing or ambiguous anchor fails the
-// test: a corpus that silently stops injecting proves nothing.
+// 1-based line span it occupies. A mutant that would overwrite a real
+// file fails the test: a corpus that silently stops injecting proves
+// nothing.
 func (m mutant) inject(t *testing.T, root string) (lo, hi int) {
 	t.Helper()
 	path := filepath.Join(root, filepath.FromSlash(m.file))
-	lines := strings.Count(m.src, "\n")
-	if m.anchor == "" {
-		if _, err := os.Stat(path); err == nil {
-			t.Fatalf("%s mutant: new file %s already exists", m.analyzer, m.file)
-		}
-		if err := os.WriteFile(path, []byte(m.src), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return 1, lines
+	if _, err := os.Stat(path); err == nil {
+		t.Fatalf("%s mutant: new file %s already exists", m.analyzer, m.file)
 	}
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("%s mutant: %v", m.analyzer, err)
-	}
-	src := string(b)
-	if n := strings.Count(src, m.anchor); n != 1 {
-		t.Fatalf("%s mutant: anchor %q occurs %d times in %s, want exactly once", m.analyzer, m.anchor, n, m.file)
-	}
-	at := strings.Index(src, m.anchor) + len(m.anchor)
-	lo = strings.Count(src[:at], "\n") + 1
-	if err := os.WriteFile(path, []byte(src[:at]+m.src+src[at:]), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte(m.src), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	return lo, lo + lines - 1
+	return 1, strings.Count(m.src, "\n")
 }
 
 // copyModuleSources copies what the loader reads of the module at src —

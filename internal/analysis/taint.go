@@ -223,8 +223,6 @@ type taintFacts struct {
 
 // taintFor solves the whole-module taint analysis once and caches it.
 func (f *Facts) taintFor() *taintFacts {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	if f.taint != nil {
 		return f.taint
 	}

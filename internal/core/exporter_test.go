@@ -1,9 +1,12 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
+	"xeonomp/internal/config"
+	"xeonomp/internal/counters"
 	"xeonomp/internal/golden"
 )
 
@@ -69,6 +72,41 @@ func TestSingleStudyArtifactsMatchRenderer(t *testing.T) {
 	// 9 panels x 2 benchmarks x 8 configurations.
 	if len(fig2.Metrics) != 9*2*8 {
 		t.Fatalf("figure2 has %d metrics, want %d", len(fig2.Metrics), 9*2*8)
+	}
+}
+
+// TestFigure2ReadsEveryMetric holds the golden schema to counters.Metrics:
+// changing any one field in every multithreaded cell must change the
+// figure2 artifact, so a metric that no panel reads cannot be added
+// silently. The wire codec is held to every field by
+// TestCellResponseBytesMatchEncoder.
+func TestFigure2ReadsEveryMetric(t *testing.T) {
+	figure2 := func(s *SingleStudy) []golden.Metric {
+		arts, err := s.Artifacts()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return artifactByName(t, arts, "figure2").Metrics
+	}
+	base := figure2(fabricatedStudy())
+	fields := reflect.TypeOf(counters.Metrics{})
+	for i := 0; i < fields.NumField(); i++ {
+		s := fabricatedStudy()
+		for _, cfg := range s.Configs {
+			if cfg.Arch == config.Serial {
+				continue
+			}
+			for _, bn := range s.Benchmarks {
+				f := reflect.ValueOf(&s.Results[CellKey{bn, cfg.Name}].Programs[0].Metrics).Elem().Field(i)
+				if f.Kind() != reflect.Float64 {
+					t.Fatalf("counters.Metrics.%s is %s; teach this test to change it", fields.Field(i).Name, f.Kind())
+				}
+				f.SetFloat(f.Float() + 1)
+			}
+		}
+		if reflect.DeepEqual(figure2(s), base) {
+			t.Errorf("changing counters.Metrics.%s leaves figure2 unchanged: no panel reads it", fields.Field(i).Name)
+		}
 	}
 }
 

@@ -83,18 +83,10 @@ func (l Latencies) Validate() error {
 // Team is one OpenMP thread team synchronizing at barriers. All threads of
 // one program instance share a Team.
 type Team struct {
-	Size     int
-	arrived  int
-	releases uint64
-	waiting  []*Thread
+	Size    int
+	arrived int
+	waiting []*Thread
 }
-
-// Releases returns the number of barrier releases the team has performed.
-// The cycle engine uses it to detect, from outside the stepped core, that
-// a barrier release may have changed thread states on other contexts (the
-// one cross-context side effect of stepping a core — see the solo-window
-// fast path in internal/machine).
-func (tm *Team) Releases() uint64 { return tm.releases }
 
 // NewTeam creates a team of n threads.
 func NewTeam(n int) *Team {
@@ -259,11 +251,15 @@ type Core struct {
 	relEpoch *uint64
 }
 
-// NewCore assembles a core. The caller provides the shared structures so
-// the machine model can wire both contexts and the chip-level FSB.
+// NewCore assembles a core of one context (HT off) or two (HT on). The
+// caller provides the shared structures so the machine model can wire both
+// contexts and the chip-level FSB.
 func NewCore(id string, lat Latencies, tc, l1d, l2 *cache.Cache, itlb, dtlb *tlb.TLB, bp *branch.Predictor, pf *prefetch.Prefetcher, fsb *bus.FSB, nContexts int) *Core {
 	if err := lat.Validate(); err != nil {
 		panic(err)
+	}
+	if nContexts < 1 || nContexts > 2 {
+		panic(fmt.Sprintf("cpu: %d contexts per core, want 1 or 2", nContexts))
 	}
 	c := &Core{
 		ID: id, Lat: lat, TC: tc, L1D: l1d, L2: l2,
@@ -727,7 +723,6 @@ func arriveBarrier(t *Thread, now, releaseCost int64) bool {
 	}
 	tm.waiting = tm.waiting[:0]
 	tm.arrived = 0
-	tm.releases++
 	return true
 }
 
@@ -738,15 +733,14 @@ func arriveBarrier(t *Thread, now, releaseCost int64) bool {
 func (c *Core) Step(now int64) bool {
 	n := len(c.Contexts)
 	var x *Context
-	switch n {
-	case 1:
+	if n == 1 {
 		// Single hardware context (HT off): no arbitration, and rr can
 		// only ever be 0, so skip the round-robin scan.
 		if c.Contexts[0].readyFull(now) {
 			x = c.Contexts[0]
 		}
-	case 2:
-		// Hyper-Threading: two contexts, strict round robin, unrolled.
+	} else {
+		// Hyper-Threading: two contexts, strict round robin.
 		a := c.rr
 		if cand := c.Contexts[a]; cand.readyFull(now) {
 			x = cand
@@ -754,23 +748,6 @@ func (c *Core) Step(now int64) bool {
 		} else if cand := c.Contexts[1-a]; cand.readyFull(now) {
 			x = cand
 			c.rr = a
-		}
-	default:
-		idx := c.rr
-		for i := 0; i < n; i++ {
-			if idx >= n {
-				idx -= n
-			}
-			cand := c.Contexts[idx]
-			if cand.readyFull(now) {
-				x = cand
-				c.rr = idx + 1
-				if c.rr >= n {
-					c.rr = 0
-				}
-				break
-			}
-			idx++
 		}
 	}
 	if x == nil {
@@ -877,15 +854,15 @@ func (c *Core) Step(now int64) bool {
 // context — from cycle `from` until the window closes, and returns the
 // cycle it stopped at. It is the fused fast path for internal/machine's
 // solo windows: the per-cycle Step/QuietWake/accrue round-trips of the
-// generic loop collapse into one tight loop with segment-batched cycle
-// accounting.
+// machine's lockstep loop collapse into one tight loop with
+// segment-batched cycle accounting.
 //
-// The loop is cycle-for-cycle equivalent to the generic solo loop (and so
-// to the reference engine):
+// The loop is cycle-for-cycle equivalent to the lockstep loop (and so to
+// the reference engine):
 //
 //   - bound (earliest off-core wake, -1 for none) and limit (cycle budget,
-//     0 for none) close the window exactly where the generic loop's
-//     top-of-loop checks would.
+//     0 for none) close the window at the first cycle where an off-core
+//     context could issue or the budget runs out.
 //   - After an issuing step the clock jumps straight to x's readyAt when it
 //     is purely stalled — the inlined equivalent of QuietWake — capped at
 //     bound, and only when the jump start is inside the limit.
@@ -1070,8 +1047,8 @@ func (c *Core) StepWindow2(x0, x1 *Context, from, bound, limit int64, watchRelea
 				nxt = ev
 			}
 		} else if limit <= 0 || nxt < limit {
-			// quietUntil over exactly two contexts: 0 forbids the jump,
-			// -1 imposes nothing, >nxt bounds it.
+			// QuietWake over both contexts: 0 forbids the jump, -1
+			// imposes nothing, >nxt bounds it.
 			q0 := x0.QuietWake(nxt)
 			if q0 != 0 {
 				q1 := x1.QuietWake(nxt)
@@ -1201,10 +1178,6 @@ func (c *Core) Reset() {
 		x.Clear()
 	}
 }
-
-// ReleaseEpoch returns the machine-wide barrier-release counter shared by
-// this core (see the relEpoch field).
-func (c *Core) ReleaseEpoch() uint64 { return *c.relEpoch }
 
 // ShareReleaseEpoch rewires the core's release-epoch counter to p, so all
 // cores of one machine observe every release. Called once at machine build.

@@ -62,9 +62,10 @@ type Config struct {
 	PrefetchGate int64
 }
 
-// Validate checks the machine configuration.
+// Validate checks the machine configuration. A core has one context (HT
+// off) or two (HT on), as the Xeons the paper measures do.
 func (c Config) Validate() error {
-	if c.Chips <= 0 || c.CoresPerChip <= 0 || c.ContextsPerCore <= 0 {
+	if c.Chips <= 0 || c.CoresPerChip <= 0 || c.ContextsPerCore <= 0 || c.ContextsPerCore > 2 {
 		return fmt.Errorf("machine: bad topology %d/%d/%d", c.Chips, c.CoresPerChip, c.ContextsPerCore)
 	}
 	if c.Freq <= 0 {
@@ -183,11 +184,6 @@ type Machine struct {
 	// entering a solo window costs no allocation.
 	soloXs  []*cpu.Context
 	soloAcc []*cpu.Thread
-
-	// relEpoch is the machine-wide barrier-release counter shared with
-	// every core (cpu.Core.ShareReleaseEpoch). Solo windows snapshot it and
-	// detect escaping releases with one load per step.
-	relEpoch *uint64
 }
 
 // New builds a machine from cfg. All contexts start disabled; apply a
@@ -236,9 +232,9 @@ func New(cfg Config) (*Machine, error) {
 	}
 	// One release-epoch counter for the whole machine, so a solo window can
 	// detect any escaping barrier release with a single load.
-	m.relEpoch = new(uint64)
+	relEpoch := new(uint64)
 	for _, c := range m.cores {
-		c.ShareReleaseEpoch(m.relEpoch)
+		c.ShareReleaseEpoch(relEpoch)
 	}
 	return m, nil
 }
@@ -337,12 +333,13 @@ var ErrCycleLimit = errors.New("machine: cycle limit exceeded")
 //     baseline, and every memory-stall window that leaves one core
 //     runnable — the engine enters a solo window (runSolo): only that core
 //     is stepped until the earliest cycle an off-core context could wake,
-//     with off-core threads' cycle counters charged in one segment. Solo
-//     windows of at most two contexts run in the fused core-level loops
-//     cpu.Core.StepWindow / StepWindow2, which batch the per-cycle
-//     accounting; a barrier release is detected through the machine-wide
-//     release epoch (one counter shared by all cores) and completes the
-//     cycle exactly as the lockstep loop would before handing back.
+//     with off-core threads' cycle counters charged in one segment. Every
+//     solo window has one or two contexts (a core has at most two) and
+//     runs in the fused core-level loop cpu.Core.StepWindow or
+//     StepWindow2, which batches the per-cycle accounting; a barrier
+//     release is detected through the machine-wide release epoch (one
+//     counter shared by all cores) and completes the cycle exactly as the
+//     lockstep loop would before handing back.
 //
 // Per-thread cycle counters accrue by the advancement delta, so a jumped
 // window charges exactly the cycles stepping through it would have. With a
@@ -492,17 +489,13 @@ func (m *Machine) runSolo(cx *cpu.Core, active []*cpu.Context, cores []*cpu.Core
 	xs := m.soloXs[:0]
 	otherAcc := m.soloAcc[:0]
 	bound := int64(-1)
-	othersDone := true
 	for _, o := range active {
 		if o.Core == cx {
 			xs = append(xs, o)
 			continue
 		}
-		if !o.AllDone() {
-			othersDone = false
-			if t := o.Mounted(); t != nil && t.State != cpu.ThreadDone {
-				otherAcc = append(otherAcc, t)
-			}
+		if t := o.Mounted(); t != nil && t.State != cpu.ThreadDone {
+			otherAcc = append(otherAcc, t)
 		}
 		if w := o.QuietWake(from); w > 0 && (bound < 0 || w < bound) {
 			bound = w
@@ -528,15 +521,8 @@ func (m *Machine) runSolo(cx *cpu.Core, active []*cpu.Context, cores []*cpu.Core
 
 	// A barrier release can only change off-core state when some team
 	// member lives off-core; a core whose teams are entirely local never
-	// needs the release check (serial and single-core cells). The check
-	// itself is one load of the machine-wide release epoch: during the
-	// window only cx steps, so any epoch change is a release by a team
-	// with a thread on cx.
+	// needs the fused loop's release check (serial and single-core cells).
 	self := coreSelfContained(xs)
-	var relBase uint64
-	if !self {
-		relBase = *m.relEpoch
-	}
 
 	// finishRelease completes a release cycle the way the reference engine
 	// would: a release at cycle `at` may have made threads on other cores
@@ -572,73 +558,22 @@ func (m *Machine) runSolo(cx *cpu.Core, active []*cpu.Context, cores []*cpu.Core
 		return nxt
 	}
 
-	now = from
-
-	// One- and two-context windows (serial cells, every HT-off core, and
-	// HT-on cores with both contexts active — together, all windows in
-	// practice): delegate to the fused core-level loop, which batches the
-	// per-cycle accounting. It returns either at the window close (bound
-	// or limit reached — the loop below exits immediately), on an escaping
-	// barrier release (completed here exactly as the generic path would),
-	// or when the core went inert (done or deadlocked — the loop below
-	// resolves it). Off-core accrual is unaffected: the deferred settle
-	// above charges the whole [from, now) span either way.
-	if n := len(xs); n == 1 || n == 2 {
-		var issued, released bool
-		if n == 1 {
-			now, issued, released = cx.StepWindow(xs[0], now, bound, limit, !self)
-		} else {
-			now, issued, released = cx.StepWindow2(xs[0], xs[1], now, bound, limit, !self)
-		}
-		if released {
-			now = finishRelease(now, issued)
-			return now
-		}
+	// The fused core-level loop batches the per-cycle accounting. It
+	// returns at the window close (bound or limit reached), when the core
+	// went inert (done or deadlocked: the main loop resolves it), or on an
+	// escaping barrier release, which is completed here exactly as the
+	// lockstep loop would. Off-core accrual is unaffected: the deferred
+	// settle above charges the whole [from, now) span either way.
+	var issued, released bool
+	if len(xs) == 1 {
+		now, issued, released = cx.StepWindow(xs[0], from, bound, limit, !self)
+	} else {
+		now, issued, released = cx.StepWindow2(xs[0], xs[1], from, bound, limit, !self)
 	}
-
-	for {
-		if bound >= 0 && now >= bound {
-			return now
-		}
-		if othersDone && contextsDone(xs) {
-			return now
-		}
-		if limit > 0 && now >= limit {
-			return now
-		}
-		issued := cx.Step(now)
-		if !self && *m.relEpoch != relBase {
-			now = finishRelease(now, issued)
-			return now
-		}
-		nxt := now + 1
-		if !issued {
-			ev := int64(-1)
-			for _, x := range xs {
-				if w := x.NextEvent(now); w >= 0 && (ev < 0 || w < ev) {
-					ev = w
-				}
-			}
-			if bound >= 0 && (ev < 0 || bound < ev) {
-				ev = bound
-			}
-			if ev < 0 {
-				return now // all inert: the full loop resolves done/deadlock
-			}
-			if ev > nxt {
-				nxt = ev
-			}
-		} else if limit <= 0 || nxt < limit {
-			if w := quietUntil(xs, nxt); w > nxt {
-				if bound >= 0 && bound < w {
-					w = bound
-				}
-				nxt = w
-			}
-		}
-		m.accrue(xs, nxt-now)
-		now = nxt
+	if released {
+		now = finishRelease(now, issued)
 	}
+	return now
 }
 
 // coreSelfContained reports whether every team with a thread on the given
@@ -695,26 +630,6 @@ func contextsDone(active []*cpu.Context) bool {
 		}
 	}
 	return true
-}
-
-// quietUntil returns the cycle the clock may jump to from next, or next
-// itself when any context needs a cycle-by-cycle offer (see the
-// advancement contract on Run and cpu.Context.QuietWake).
-func quietUntil(active []*cpu.Context, next int64) int64 {
-	best := next
-	for _, x := range active {
-		w := x.QuietWake(next)
-		if w < 0 {
-			continue // inert: imposes no wake-up
-		}
-		if w <= next {
-			return next // must be offered the very next cycle
-		}
-		if best == next || w < best {
-			best = w
-		}
-	}
-	return best
 }
 
 // nextEvent returns the earliest cycle after now any active context could

@@ -468,6 +468,16 @@ func TestLoadConfigRejectsInvalid(t *testing.T) {
 	if _, err := LoadConfig(strings.NewReader(`garbage`)); err == nil {
 		t.Fatal("garbage accepted")
 	}
+	// A core has at most the two contexts Hyper-Threading gives it.
+	three := PaxvilleSMP()
+	three.ContextsPerCore = 3
+	var buf bytes.Buffer
+	if err := three.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadConfig(&buf); err == nil || !strings.Contains(err.Error(), "bad topology 2/2/3") {
+		t.Fatalf("three contexts per core: err = %v, want bad topology 2/2/3", err)
+	}
 }
 
 func TestPrestoniaPreset(t *testing.T) {

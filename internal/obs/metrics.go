@@ -96,8 +96,7 @@ func (h *Histogram) Sum() int64 { return h.sum.Load() }
 // idempotent — re-registering a name returns the existing instrument — so
 // package-level instrument variables stay valid across registry Resets
 // and repeated test runs. A name registers as exactly one kind; mixing
-// kinds panics, because it is a programming error the counterparity
-// analyzer should have caught.
+// kinds panics, because it is a programming error.
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
@@ -172,7 +171,6 @@ func (r *Registry) Histogram(name string) *Histogram {
 }
 
 // NewCounter registers (or retrieves) a counter in the Default registry.
-// This is the registration site the counterparity analyzer looks for.
 func NewCounter(name string) *Counter { return Default.Counter(name) }
 
 // NewGauge registers (or retrieves) a gauge in the Default registry.

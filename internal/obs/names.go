@@ -1,11 +1,10 @@
 package obs
 
-// Metric names, one constant per registered series. The counterparity
-// analyzer (internal/analysis) requires every Metric* constant here to
-// appear at a NewCounter/NewGauge/NewHistogram registration site
-// somewhere in the module, so a series can never silently stop being
-// collected; the full table with meanings lives in ARCHITECTURE.md
-// ("Observability").
+// Metric names, one constant per registered series. internal/shard's
+// TestEveryMetricNameIsRegistered requires every Metric* constant here
+// to name a series registered in Default by the packages that test
+// links, so a series can never silently stop being collected; the full
+// table with meanings lives in ARCHITECTURE.md ("Observability").
 const (
 	// Run-cache traffic (internal/runcache) — mirrors runcache.Stats so
 	// cached CLI reruns can assert hit rates from -metrics-out alone.

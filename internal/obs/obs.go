@@ -14,10 +14,10 @@
 //   - pprof label plumbing, so CPU profiles attribute samples to the
 //     (benchmark, configuration) cell being simulated.
 //
-// Every metric series is named by a Metric* constant in names.go; the
-// counterparity analyzer (internal/analysis) verifies each constant has a
-// registration site, so a renamed metric can never silently stop being
-// collected.
+// Every metric series is named by a Metric* constant in names.go;
+// internal/shard's TestEveryMetricNameIsRegistered verifies each
+// constant is registered, so a renamed metric can never silently stop
+// being collected.
 //
 // obs is the only simulation-adjacent package allowed to read the wall
 // clock (see the taint analyzer's allowlist): instrumented packages take
