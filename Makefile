@@ -56,11 +56,13 @@ bench-engine:
 	$(GO) test -run '^$$' -bench . -benchtime 1x $(ENGINE_PKGS)
 
 # Static analysis: go vet plus the repo's seven analyzers (cmd/xeonlint —
-# nondeterminism taint, dimension inference, unit safety, dropped errors,
-# context flow, goroutine leaks, and lock ordering). The engine's hot
-# path and the counter/golden-schema parity are guarded by tests instead
-# (TestCellAllocsFlat, TestFigure2ReadsEveryMetric, TestEventNames,
-# TestEveryMetricNameIsRegistered).
+# nondeterminism sources, dimension inference, unit safety, dropped
+# errors, context flow, goroutine leaks, and lock ordering). go vet's
+# copylocks check covers locks copied by value. The engine's hot path,
+# the counter/golden-schema parity and nondeterministic flows into
+# outputs are guarded by tests instead (TestCellAllocsFlat,
+# TestFigure2ReadsEveryMetric, TestEventNames,
+# TestEveryMetricNameIsRegistered, TestStudySerializationIsBitStable).
 # Depends on build so vet and xeonlint share one warm build cache; -v
 # prints per-analyzer wall time so lint-job runtime regressions show up
 # in CI logs.

@@ -1,7 +1,9 @@
 // Command xeonlint runs the repo's seven domain-specific static analyzers
-// (see internal/analysis) over the module: nondeterminism taint,
+// (see internal/analysis) over the module: nondeterminism sources,
 // dimension inference, unit safety, dropped errors, context flow,
-// goroutine leaks, and lock ordering.
+// goroutine leaks, and lock ordering. Locks copied by value are go vet's
+// copylocks check, and nondeterministic flows into artifacts are caught
+// by the byte-identity tests and the golden gate.
 //
 // Usage:
 //

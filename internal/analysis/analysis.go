@@ -12,11 +12,9 @@
 // Seven analyzers guard the promises the reproduction makes, each proven
 // against a seeded bug of its class by TestMutationCorpus:
 //
-//   - taint: no wall clock, no unseeded math/rand, no map-iteration
-//     order leaking into ordered output — plus interprocedural
-//     nondeterminism taint: a clock/rand/env value laundered through
-//     helpers or struct fields into a golden/report/journal/runcache
-//     serialization sink is reported at the sink
+//   - taint: outside the clock allowlist, no wall-clock read, no
+//     environment read, no unseeded math/rand draw; nowhere may
+//     map-iteration order reach ordered output
 //   - dimension: physical dimensions (cycles, ns, seconds, bytes, events)
 //     inferred from internal/units constants, counters metrics, and
 //     naming conventions, propagated through arithmetic; mixed-dimension
@@ -34,16 +32,19 @@
 //     handed to the spawned function, or a structurally finite body
 //   - lockorder: no lock-acquisition cycles module-wide, no re-acquiring
 //     a held lock (directly or through a callee), no lock held across a
-//     blocking operation; subsumes the retired lockcheck patterns (locks
-//     copied by value, loop goroutines writing captured state unlocked)
+//     blocking operation, no loop goroutine writing captured state
+//     unlocked
 //
-// Other invariants are guarded by tests of the running code instead: a
-// cell's allocation count must not grow with its instruction budget
-// (internal/core's TestCellAllocsFlat), every counters.Metrics field
+// Other invariants are guarded by tests of the running code instead: no
+// nondeterministic value may reach a study's artifacts or rendered tables
+// by any path (internal/core's TestStudySerializationIsBitStable, with
+// the golden gate), a cell's allocation count must not grow with its
+// instruction budget (TestCellAllocsFlat), every counters.Metrics field
 // must reach the figure2 artifact (TestFigure2ReadsEveryMetric), every
 // counters.Event has one unique name (TestEventNames), and every
 // obs.Metric* constant is registered (internal/shard's
-// TestEveryMetricNameIsRegistered).
+// TestEveryMetricNameIsRegistered). Locks copied by value are go vet's
+// copylocks check, which make lint and CI run before xeonlint.
 //
 // Findings can be suppressed per line with
 //

@@ -11,7 +11,7 @@ import (
 // and lockorder analyzers: per-function summaries of what may block, which
 // module-visible locks a call may acquire, and which WaitGroup objects are
 // ever waited on — computed once per Program over the Facts call graph,
-// like the taint and dimension fixed points.
+// like the dimension fixed point.
 
 // concFacts is the module-wide concurrency summary set.
 type concFacts struct {

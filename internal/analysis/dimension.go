@@ -790,6 +790,27 @@ func resolveNameDim(suffix, rest string) Dim {
 	return dimNone
 }
 
+// objOf resolves an identifier to its object, whether defined or used
+// here.
+func objOf(info *types.Info, id *ast.Ident) types.Object {
+	if obj := info.Uses[id]; obj != nil {
+		return obj
+	}
+	return info.Defs[id]
+}
+
+// structOf unwraps a (pointer to a) struct type.
+func structOf(t types.Type) *types.Struct {
+	if t == nil {
+		return nil
+	}
+	if p, ok := t.Underlying().(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	st, _ := t.Underlying().(*types.Struct)
+	return st
+}
+
 func opName(op token.Token) string {
 	if op == token.ADD {
 		return "addition"

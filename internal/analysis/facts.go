@@ -7,11 +7,11 @@ import (
 
 // This file is the dataflow engine's shared substrate. A loaded Program
 // computes one Facts value on demand — a module-wide function index and
-// the static call graph over it — and every analyzer consumes those
-// facts instead of re-walking the module. The interprocedural passes
-// (taint, dimension) additionally cache their fixed-point results here,
-// so the engine solves each whole-module analysis exactly once per run
-// no matter how many packages Check is called on.
+// the static call graph over it — and the interprocedural analyzers
+// consume those facts instead of re-walking the module. The dimension
+// pass and the concurrency passes additionally cache their fixed-point
+// results here, so the engine solves each whole-module analysis exactly
+// once per run no matter how many packages Check is called on.
 
 // FuncInfo is one declared function or method of the program, joined with
 // the package it lives in and its body.
@@ -55,9 +55,8 @@ type Facts struct {
 
 	bodies map[*Package][]Body
 
-	taint *taintFacts // solved lazily by the taint analyzer
-	dims  *dimFacts   // solved lazily by the dimension analyzer
-	conc  *concFacts  // solved lazily by the concurrency analyzers
+	dims *dimFacts  // solved lazily by the dimension analyzer
+	conc *concFacts // solved lazily by the concurrency analyzers
 }
 
 // Facts returns the program's shared analysis facts, building them on

@@ -25,14 +25,14 @@ import (
 //     other holder; sync.Cond.Wait is exempt for the single lock it
 //     releases
 //
-// It also subsumes the retired lockcheck analyzer's local patterns:
-// sync primitives copied by value, and loop goroutines writing captured
-// variables unlocked.
+// It also keeps one local pattern of the retired lockcheck analyzer: loop
+// goroutines writing captured variables unlocked. Locks copied by value
+// are go vet's copylocks check, which make lint runs first.
 type LockOrder struct{}
 
 func (*LockOrder) Name() string { return "lockorder" }
 func (*LockOrder) Doc() string {
-	return "flag lock-ordering cycles, self-deadlocks, locks held across blocking ops, and lock-copy races"
+	return "flag lock-ordering cycles, self-deadlocks, locks held across blocking ops, and unlocked loop goroutines"
 }
 
 func (a *LockOrder) Check(prog *Program, pkg *Package) []Diagnostic {
@@ -46,22 +46,13 @@ func (a *LockOrder) Check(prog *Program, pkg *Package) []Diagnostic {
 		}
 	}
 
-	// Local (single-package) patterns inherited from lockcheck.
+	// The local pattern inherited from lockcheck.
 	report := func(n ast.Node, format string, args ...any) {
 		diags = append(diags, Diagnostic{Pos: prog.Fset.Position(n.Pos()), Analyzer: a.Name(), Message: fmt.Sprintf(format, args...)})
 	}
 	for _, f := range pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
-			case *ast.FuncDecl:
-				if n.Recv != nil {
-					a.checkFields(pkg, n.Recv, "receiver", report)
-				}
-				a.checkFields(pkg, n.Type.Params, "parameter", report)
-				a.checkFields(pkg, n.Type.Results, "result", report)
-			case *ast.FuncLit:
-				a.checkFields(pkg, n.Type.Params, "parameter", report)
-				a.checkFields(pkg, n.Type.Results, "result", report)
 			case *ast.ForStmt:
 				a.checkLoopGoroutines(pkg, n.Body, report)
 			case *ast.RangeStmt:
@@ -470,52 +461,6 @@ func (w *lockWalker) call(call *ast.CallExpr, held map[*types.Var]token.Pos) {
 	if !deadlocked && len(held) > 0 && cf.blocking[fn] {
 		w.report(call, "lock %v held across call to %s, which may block", w.heldNames(held), moduleFuncName(fn))
 	}
-}
-
-// checkFields flags receiver/parameter/result fields whose non-pointer
-// type contains a sync primitive — two holders of a copied lock guard
-// nothing.
-func (a *LockOrder) checkFields(pkg *Package, fl *ast.FieldList, kind string, report func(ast.Node, string, ...any)) {
-	if fl == nil {
-		return
-	}
-	for _, field := range fl.List {
-		tv, ok := pkg.Info.Types[field.Type]
-		if !ok {
-			continue
-		}
-		if lock := lockIn(tv.Type, 0); lock != "" {
-			report(field, "%s passes %s by value, copying its %s; use a pointer", kind, types.TypeString(tv.Type, types.RelativeTo(pkg.Types)), lock)
-		}
-	}
-}
-
-// lockIn returns the name of a sync primitive reachable by value inside t
-// ("" if none). Pointers stop the walk: sharing a pointer is the fix.
-func lockIn(t types.Type, depth int) string {
-	if depth > 8 {
-		return ""
-	}
-	switch t := t.(type) {
-	case *types.Named:
-		obj := t.Obj()
-		if obj.Pkg() != nil && obj.Pkg().Path() == "sync" {
-			switch obj.Name() {
-			case "Mutex", "RWMutex", "WaitGroup", "Once", "Cond":
-				return "sync." + obj.Name()
-			}
-		}
-		return lockIn(t.Underlying(), depth+1)
-	case *types.Struct:
-		for i := 0; i < t.NumFields(); i++ {
-			if l := lockIn(t.Field(i).Type(), depth+1); l != "" {
-				return l
-			}
-		}
-	case *types.Array:
-		return lockIn(t.Elem(), depth+1)
-	}
-	return ""
 }
 
 // checkLoopGoroutines flags `go func(){...}()` launched inside a loop

@@ -1,24 +1,13 @@
-// Package lockfix seeds copied sync primitives and unlocked fan-out.
+// Package lockfix seeds unlocked fan-out. Locks copied by value are left
+// to go vet's copylocks check.
 package lockfix
 
 import "sync"
 
-// Guarded embeds a mutex, so passing it by value copies the lock.
+// Guarded embeds a mutex, so it is shared by pointer.
 type Guarded struct {
 	mu sync.Mutex
 	n  int
-}
-
-func byValue(g Guarded) { // want `parameter passes Guarded by value, copying its sync.Mutex`
-	_ = g.n
-}
-
-func (g Guarded) Bump() { // want `receiver passes Guarded by value, copying its sync.Mutex`
-	g.n++
-}
-
-func makeWG() (wg sync.WaitGroup) { // want `result passes sync.WaitGroup by value`
-	return
 }
 
 func byPointer(g *Guarded) {
@@ -61,8 +50,6 @@ func fanOutLocal(gs []*Guarded) {
 	}
 }
 
-var _ = byValue
-var _ = makeWG
 var _ = byPointer
 var _ = fanOutBad
 var _ = fanOutLocked

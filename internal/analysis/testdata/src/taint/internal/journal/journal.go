@@ -2,35 +2,9 @@
 // allowed to observe real time, so nothing here may be flagged.
 package journal
 
-import (
-	"context"
-	"time"
-)
+import "time"
 
-// Stamp returns the current wall-clock time. time.Time is plain data, not
-// an opaque handle, so clock taint survives the package boundary.
+// Stamp returns the current wall-clock time.
 func Stamp() time.Time {
 	return time.Now()
-}
-
-// Timer is an opaque wall-clock handle; its timing content feeds progress
-// reporting inside this package, never artifacts.
-type Timer struct {
-	start time.Time
-}
-
-// StartTimer captures the current time behind an opaque handle — a
-// clock-taint boundary for callers.
-func StartTimer() Timer {
-	return Timer{start: time.Now()}
-}
-
-type ctxKey struct{}
-
-// Mark derives a context carrying the current time, mirroring a span
-// being attached to a request context. The returned context is an opaque
-// handle, so threading it through simulation code must not taint results.
-func Mark(ctx context.Context) (context.Context, Timer) {
-	t := StartTimer()
-	return context.WithValue(ctx, ctxKey{}, t), t
 }

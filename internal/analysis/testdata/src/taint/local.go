@@ -1,14 +1,16 @@
-// Package taint seeds local determinism violations and legal counterparts;
-// flow.go adds the interprocedural cases.
+// Package taint seeds local determinism violations and legal
+// counterparts. Flows are not tracked: only the reads themselves are.
 package taint
 
 import (
 	"fmt"
 	"math/rand"
+	"os"
 	"sort"
 	"strings"
 	"time"
 
+	"taint/internal/journal"
 	"taint/internal/report"
 	"taint/tally"
 )
@@ -17,6 +19,15 @@ var clock = time.Now // want `time.Now reads the wall clock`
 
 func stamp() int64 {
 	return time.Now().UnixNano() // want `time.Now reads the wall clock`
+}
+
+func label() string {
+	return os.Getenv("XEON_LABEL") // want `os.Getenv reads the environment`
+}
+
+// Negative: the clock is read inside the allowlisted package, not here.
+func stamped() int64 {
+	return journal.Stamp().UnixNano()
 }
 
 func roll() int {

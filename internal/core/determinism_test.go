@@ -7,17 +7,21 @@ import (
 	"testing"
 
 	"xeonomp/internal/machine"
+	"xeonomp/internal/report"
 	"xeonomp/internal/runcache"
 )
 
 // serializedStudy runs the named study at reduced scale on the given
 // worker count, checks that Run sent every listed cell exactly once and
 // nothing else, and returns every byte the study can emit: the canonical
-// golden artifacts followed by the full JSON export where the study has
-// one. This is the output surface the determinism analyzer
-// (internal/analysis) guards — if map-iteration order, a wall clock, or an
-// unseeded random draw ever leaks into the export path, two in-process
-// runs stop being byte-identical.
+// golden artifacts, the full JSON export where the study has one, and the
+// text and CSV of every table it renders. This is the guard against
+// nondeterministic flows into outputs: a wall-clock value, an unseeded
+// random draw or map-iteration order that reaches an artifact or a table
+// by any path, through any number of helpers, fields or packages, makes
+// two in-process runs differ. The taint analyzer (internal/analysis) only
+// checks the local rules: where the clock and the environment may be read
+// at all.
 func serializedStudy(t *testing.T, name string, workers int) []byte {
 	t.Helper()
 	s, err := NewStudy(name)
@@ -64,14 +68,50 @@ func serializedStudy(t *testing.T, name string, workers int) []byte {
 			t.Fatal(err)
 		}
 	}
+	tables, plot := renderedTables(t, s)
+	for _, tb := range tables {
+		buf.WriteString(tb.String())
+		buf.WriteString(tb.CSV())
+	}
+	buf.WriteString(plot)
 	return buf.Bytes()
+}
+
+// renderedTables returns the tables a study renders for xeonchar, and its
+// plot for the cross study.
+func renderedTables(t *testing.T, s Study) ([]*report.Table, string) {
+	t.Helper()
+	check := func(err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	switch s := s.(type) {
+	case *SingleStudy:
+		fig2, err := s.Figure2Tables()
+		check(err)
+		fig3, err := s.Figure3Table()
+		check(err)
+		table2, err := s.Table2Report()
+		check(err)
+		return append(fig2, fig3, table2), ""
+	case *PairStudy:
+		fig4, err := s.Figure4Tables()
+		check(err)
+		return fig4, ""
+	case *CrossStudy:
+		return nil, s.Figure5Plot()
+	}
+	t.Fatalf("no rendered tables for study %T", s)
+	return nil, ""
 }
 
 // TestStudySerializationIsBitStable runs every registered study twice —
 // once sequentially, once on four workers — and demands byte-identical
-// golden JSON. TestStudiesWorkerInvariant already pins the in-memory
-// numbers of the single study; this pins the rendered artifacts, which is
-// what the golden regression gate actually diffs.
+// output: golden JSON, JSON export and rendered tables.
+// TestStudiesWorkerInvariant already pins the in-memory numbers of the
+// single study; this pins the serialized bytes, which are what the golden
+// regression gate diffs and what xeonchar prints.
 func TestStudySerializationIsBitStable(t *testing.T) {
 	for _, name := range StudyNames() {
 		t.Run(name, func(t *testing.T) {

@@ -22,8 +22,11 @@
 // obs is the only simulation-adjacent package allowed to read the wall
 // clock (see the taint analyzer's allowlist): instrumented packages take
 // timestamps through StartTimer/Span, and those values flow only into the
-// registry and tracer, never into golden artifacts, journals, or the run
-// cache. Simulated time stays deterministic; obs measures real time.
+// registry and tracer, never into golden artifacts, rendered tables,
+// journals, or the run cache. The analyzer does not follow the values;
+// internal/core's TestStudySerializationIsBitStable and the golden gate
+// fail if one reaches an artifact or a rendered table. Simulated time
+// stays deterministic; obs measures real time.
 package obs
 
 import "time"

@@ -182,17 +182,3 @@ func BoxPlots(title string, labels []string, boxes []stats.BoxPlot, width int) s
 	}
 	return b.String()
 }
-
-// Markdown renders the table as a GitHub-flavoured markdown table.
-func (t *Table) Markdown() string {
-	var b strings.Builder
-	if t.Title != "" {
-		fmt.Fprintf(&b, "**%s**\n\n", t.Title)
-	}
-	b.WriteString("| " + strings.Join(t.Headers, " | ") + " |\n")
-	b.WriteString("|" + strings.Repeat(" --- |", len(t.Headers)) + "\n")
-	for _, r := range t.Rows {
-		b.WriteString("| " + strings.Join(r, " | ") + " |\n")
-	}
-	return b.String()
-}

@@ -97,14 +97,3 @@ func TestBoxPlotsTinyWidthClamped(t *testing.T) {
 		t.Fatal("no output")
 	}
 }
-
-func TestMarkdown(t *testing.T) {
-	tb := NewTable("T", "a", "b")
-	tb.Add("1", "2")
-	md := tb.Markdown()
-	for _, want := range []string{"**T**", "| a | b |", "| --- | --- |", "| 1 | 2 |"} {
-		if !strings.Contains(md, want) {
-			t.Fatalf("markdown missing %q:\n%s", want, md)
-		}
-	}
-}

@@ -24,22 +24,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// GeoMean returns the geometric mean of xs. All values must be positive;
-// non-positive values yield NaN.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		if x <= 0 {
-			return math.NaN()
-		}
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(xs)))
-}
-
 // Variance returns the unbiased sample variance of xs (n-1 denominator).
 // Samples with fewer than two points have zero variance.
 func Variance(xs []float64) float64 {

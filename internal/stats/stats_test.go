@@ -15,18 +15,6 @@ func TestMean(t *testing.T) {
 	}
 }
 
-func TestGeoMean(t *testing.T) {
-	if got := GeoMean([]float64{1, 4}); math.Abs(got-2) > 1e-12 {
-		t.Errorf("geomean = %v, want 2", got)
-	}
-	if !math.IsNaN(GeoMean([]float64{1, -1})) {
-		t.Error("geomean with non-positive input should be NaN")
-	}
-	if GeoMean(nil) != 0 {
-		t.Error("geomean of empty should be 0")
-	}
-}
-
 func TestVarianceStdDev(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	if got := Variance(xs); math.Abs(got-32.0/7) > 1e-12 {
